@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .interpolate import (
     Observation,
     Rule,
@@ -480,6 +478,8 @@ def sweep_oracle(
     interval inverts (negative gap) or when the interval family is not
     nested (an endpoint curve runs the wrong way).
     """
+    import numpy as np
+
     profile = kh_alpha_profile(r1, r2, obs, n_levels=n_levels)
     gaps = profile.sups - profile.infs
     min_raw = float(gaps.min())

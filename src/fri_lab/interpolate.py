@@ -9,13 +9,15 @@ the abnormal conclusions the validator in :mod:`fri_lab.normality` detects.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DimensionError, DomainError, NotFlanked, OrderingViolation, ZeroSpan
 from .sets import GradedPointList, TrapezoidSet, alpha_cut, precedes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Rule",
@@ -74,6 +76,8 @@ class RuleBase:
 
     rules: tuple[Rule, ...]
     dimension: int = field(init=False)
+    #: The rules in chain order when every dimension orders them alike, else None.
+    _chain: tuple[Rule, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -86,18 +90,41 @@ class RuleBase:
                     f"rule {idx} has dimension {rule.dimension}, expected {k}"
                 )
         object.__setattr__(self, "dimension", k)
-        for i in range(len(self.rules)):
-            for j in range(i + 1, len(self.rules)):
-                for d in range(k):
-                    a, b = self.rules[i].antecedents[d], self.rules[j].antecedents[d]
-                    if not (precedes(a, b) or precedes(b, a)):
-                        raise OrderingViolation(
-                            f"antecedents of rules {i} and {j} are not comparable "
-                            f"in dimension {d}"
-                        )
+        object.__setattr__(self, "_chain", _chain_order(self.rules))
 
     def __len__(self) -> int:
         return len(self.rules)
+
+
+def _rule_precedes(a: Rule, b: Rule) -> bool:
+    return all(map(precedes, a.antecedents, b.antecedents))
+
+
+def _chain_order(rules: tuple[Rule, ...]) -> tuple[Rule, ...] | None:
+    """The rules in chain order when every dimension orders them alike, else None.
+
+    Each dimension is checked by sorting on the antecedent support start and
+    testing precedence between neighbours only. Precedence is a strict
+    order, so neighbours in order put every pair in order; and a neighbour
+    pair out of order is incomparable, because its support starts rule out
+    the reverse order. Raises :class:`OrderingViolation` naming such a pair
+    by input index. Rules given in chain order are returned unsorted.
+    """
+    if all(map(_rule_precedes, rules, rules[1:])):
+        return rules
+    ranked = sorted(rules, key=lambda rule: rule.antecedents[0].a1)
+    if all(map(_rule_precedes, ranked, ranked[1:])):
+        return tuple(ranked)
+    for d in range(rules[0].dimension):
+        column = [rule.antecedents[d] for rule in rules]
+        order = sorted(range(len(rules)), key=lambda i: column[i].a1)
+        for i, j in zip(order, order[1:]):
+            if not precedes(column[i], column[j]):
+                raise OrderingViolation(
+                    f"antecedents of rules {min(i, j)} and {max(i, j)} are not "
+                    f"comparable in dimension {d}"
+                )
+    return None
 
 
 @dataclass(frozen=True)
@@ -132,6 +159,8 @@ class AlphaProfile:
     sups: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         levels = np.asarray(self.levels, dtype=float)
         infs = np.asarray(self.infs, dtype=float)
         sups = np.asarray(self.sups, dtype=float)
@@ -159,7 +188,13 @@ class AlphaProfile:
 def _minkowski(diffs: Sequence[float], order: float) -> float:
     if len(diffs) == 1:
         return abs(diffs[0])
-    return sum(abs(d) ** order for d in diffs) ** (1.0 / order)
+    if order == 2.0:
+        return math.hypot(*diffs)
+    # scaled by the largest term so that no power overflows
+    scale = max(abs(d) for d in diffs)
+    if scale == 0.0:
+        return 0.0
+    return scale * sum((abs(d) / scale) ** order for d in diffs) ** (1.0 / order)
 
 
 def _require_flanked(lower: Rule, upper: Rule, obs: Observation) -> None:
@@ -195,19 +230,29 @@ def lower_upper_distance(
     return (cut_b.lo - cut_a.lo, cut_b.hi - cut_a.hi)
 
 
+_NO_LOWER = "no rule precedes the observation in every dimension"
+_NO_UPPER = "no rule succeeds the observation in every dimension"
+
+
 def select_flanking(rb: RuleBase, obs: Observation) -> tuple[Rule, Rule]:
     """Pick the two rules whose antecedents most closely surround the observation.
 
     A candidate must precede (respectively succeed) the observation in every
-    dimension; among candidates the one with the smallest summed support-gap
-    toward the observation wins. Raises :class:`NotFlanked` when either side
-    is empty, since extrapolation is not supported.
+    dimension. When every dimension orders the rules alike, the candidates
+    below the observation form a prefix of that chain and those above it a
+    suffix, so the flanks are the rules adjacent to the observation in the
+    chain, found by binary search. Otherwise every rule is scanned and the
+    candidate with the smallest summed support gap toward the observation
+    wins. Raises :class:`NotFlanked` when either side is empty, since
+    extrapolation is not supported.
     """
     if rb.dimension != obs.dimension:
         raise DimensionError(
             f"rule base dimension {rb.dimension} does not match observation "
             f"dimension {obs.dimension}"
         )
+    if rb._chain is not None:
+        return _bisect_flanking(rb._chain, obs)
     lower_best: tuple[float, int] | None = None
     upper_best: tuple[float, int] | None = None
     for idx, rule in enumerate(rb.rules):
@@ -220,10 +265,27 @@ def select_flanking(rb: RuleBase, obs: Observation) -> tuple[Rule, Rule]:
             if upper_best is None or gap < upper_best[0]:
                 upper_best = (gap, idx)
     if lower_best is None:
-        raise NotFlanked("no rule precedes the observation in every dimension")
+        raise NotFlanked(_NO_LOWER)
     if upper_best is None:
-        raise NotFlanked("no rule succeeds the observation in every dimension")
+        raise NotFlanked(_NO_UPPER)
     return (rb.rules[lower_best[1]], rb.rules[upper_best[1]])
+
+
+def _bisect_flanking(chain: tuple[Rule, ...], obs: Observation) -> tuple[Rule, Rule]:
+    def not_below(rule: Rule) -> bool:
+        return not all(map(precedes, rule.antecedents, obs.sets))
+
+    def above(rule: Rule) -> bool:
+        return all(map(precedes, obs.sets, rule.antecedents))
+
+    lower_end = bisect_left(chain, True, key=not_below)
+    if lower_end == 0:
+        raise NotFlanked(_NO_LOWER)
+    # no rule below the observation is also above it
+    upper_start = bisect_left(chain, True, lo=lower_end, key=above)
+    if upper_start == len(chain):
+        raise NotFlanked(_NO_UPPER)
+    return (chain[lower_end - 1], chain[upper_start])
 
 
 def kh_characteristic_points(
@@ -264,6 +326,8 @@ def kh_characteristic_points(
 
 def _flank_curves(s: TrapezoidSet, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cut infimum and supremum of a set at each level, clamped at the kernel."""
+    import numpy as np
+
     return (
         np.minimum(s.a2, s.a1 + levels * (s.a2 - s.a1)),
         np.maximum(s.a3, s.a4 - levels * (s.a4 - s.a3)),
@@ -283,6 +347,8 @@ def kh_alpha_profile(
     the endpoints follow the same weighted mean applied to the cut endpoints
     of the consequents, with distances re-evaluated per level.
     """
+    import numpy as np
+
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
     _require_flanked(lower, upper, obs)

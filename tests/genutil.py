@@ -3,11 +3,14 @@
 All generators produce flanked 1-d configurations with the observation's
 support strictly between the antecedent supports (the sparse-rule-base
 scenario the diagnostics are stated for). Shapes are (left flank, core,
-right flank) length triples; a set is placed by its support start.
+right flank) length triples; a set is placed by its support start. The
+module also holds a brute-force reference for flank selection.
 """
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from typing import Sequence
 
 from fri_lab import Observation, Rule, TrapezoidSet
 
@@ -94,3 +97,31 @@ def uniform_core_config(rng: random.Random) -> tuple[Rule, Rule, Observation]:
     b1 = trap(rng.uniform(-5, 5), *shape_b)
     b2 = trap(b1.a4 + rng.uniform(0.05, 5), *shape_b)
     return config(a1, a2, b1, b2, obs)
+
+
+def reference_flanks(rules: Sequence[Rule], obs: Observation) -> tuple[set[int], set[int]]:
+    """Brute-force flank selection: the input indices of every acceptable flank.
+
+    A lower candidate's antecedent lies strictly left of the observation at
+    all four points in every dimension, an upper candidate's strictly right.
+    The acceptable flanks on each side are the candidates with the smallest
+    summed support gap toward the observation, summed exactly. A side with
+    no candidate comes back empty.
+    """
+    def left_of(a: TrapezoidSet, b: TrapezoidSet) -> bool:
+        return all(x < y for x, y in zip(a.points(), b.points()))
+
+    lower: dict[int, Fraction] = {}
+    upper: dict[int, Fraction] = {}
+    for idx, rule in enumerate(rules):
+        pairs = list(zip(rule.antecedents, obs.sets))
+        if all(left_of(a, o) for a, o in pairs):
+            lower[idx] = sum(Fraction(o.a1) - Fraction(a.a4) for a, o in pairs)
+        if all(left_of(o, a) for a, o in pairs):
+            upper[idx] = sum(Fraction(a.a1) - Fraction(o.a4) for a, o in pairs)
+
+    def argmins(gaps: dict[int, Fraction]) -> set[int]:
+        best = min(gaps.values(), default=None)
+        return {idx for idx, gap in gaps.items() if gap == best}
+
+    return argmins(lower), argmins(upper)

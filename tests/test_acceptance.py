@@ -42,7 +42,6 @@ from genutil import (
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
-ARTIFACTS = ROOT / "test-artifacts"
 
 N_TRIALS = 1000
 EXACT = 1e-9
@@ -322,7 +321,7 @@ def test_criterion_6_property_suites():
     )
 
 
-def test_criterion_7_oracle_agreement():
+def test_criterion_7_oracle_agreement(tmp_path):
     # benchmark: the dense sweep flags abnormality exactly on the cases whose
     # overall verdict is PROBLEM
     sweep_mismatch = []
@@ -334,8 +333,7 @@ def test_criterion_7_oracle_agreement():
             sweep_mismatch.append(case.case_id)
 
     # randomized agreement with counterexample logging
-    ARTIFACTS.mkdir(exist_ok=True)
-    log_path = ARTIFACTS / "agreement_counterexamples.jsonl"
+    log_path = tmp_path / "agreement_counterexamples.jsonl"
     uniform_mismatches = []
     conservative_logged = []
     strict_violations = []
@@ -406,7 +404,7 @@ def test_criterion_7_oracle_agreement():
         f"sweep oracle matches all nine verdicts; 0 disagreements on "
         f"{N_TRIALS} uniform trials; free-shape probe logged "
         f"{len(conservative_logged)} conservative-only records to "
-        f"{log_path.relative_to(ROOT)}"
+        f"{log_path}"
         if ok
         else f"sweep mismatches {sweep_mismatch}, uniform mismatches "
              f"{len(uniform_mismatches)}, unsafe disagreements {len(strict_violations)}",

@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fri_lab
 from fri_lab.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -107,6 +109,27 @@ class TestInterpolate:
         assert code == 1
         assert "min_gap=-1" in capsys.readouterr().out
 
+    def test_huge_coordinates_do_not_overflow_the_distance(self, tmp_path, capsys):
+        big = [[1e200, 2e200, 3e200, 4e200], [1e200, 2e200, 3e200, 4e200]]
+        far = [[7e200, 8e200, 9e200, 1e201], [7e200, 8e200, 9e200, 1e201]]
+        doc = {
+            "version": "1",
+            "dimension": 2,
+            "rules": [
+                {"antecedents": big, "consequent": [1, 2, 3, 4]},
+                {"antecedents": far, "consequent": [6, 7, 8, 9]},
+            ],
+            "observation": [[4.5e200, 5e200, 5e200, 5.5e200]] * 2,
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code = main(["interpolate", str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert captured.err.startswith("error:")
+            assert captured.err.count("\n") == 1
+
 
 class TestValidate:
     def test_all_normal_document(self, capsys):
@@ -180,3 +203,36 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "1/1 cases passed" in proc.stdout
+
+
+NUMPY_PROBE = """
+import sys
+import fri_lab
+if sys.argv[1:]:
+    from fri_lab.cli import main
+    main(sys.argv[1:])
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        ([], False),
+        (["validate", fixture(6)], False),
+        (["interpolate", fixture(6)], False),
+        (["bench"], False),
+        (["plot", fixture(6), "-o", "{tmp}/ex6.svg"], False),
+        (["interpolate", fixture(6), "--sweep", "11"], True),
+    ],
+    ids=["import", "validate", "interpolate", "bench", "plot", "interpolate-sweep"],
+)
+def test_numpy_loads_only_for_profiles_and_sweeps(tmp_path, argv, loads_numpy):
+    src = str(Path(fri_lab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    args = [a.format(tmp=tmp_path) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.stdout.splitlines()[-1] == str(loads_numpy), proc.stderr

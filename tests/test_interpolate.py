@@ -90,6 +90,41 @@ class TestSelectFlanking:
             RuleBase((rule1d((1, 2, 3, 4), (0, 0, 0, 0)),
                       rule1d((1, 2, 3, 4), (5, 5, 5, 5))))
 
+    def test_rules_out_of_input_order(self):
+        rules = (
+            rule1d((11, 12, 13, 14), (11, 12, 13, 14)),
+            rule1d((1, 2, 3, 4), (1, 2, 3, 4)),
+            rule1d((16, 17, 18, 19), (16, 17, 18, 19)),
+            rule1d((6, 7, 8, 9), (6, 7, 8, 9)),
+        )
+        lower, upper = select_flanking(RuleBase(rules), obs1d((9.5, 10, 10, 10.5)))
+        assert lower is rules[3] and upper is rules[0]
+
+    def test_incomparable_pair_named_by_input_index_and_dimension(self):
+        # rules 0 and 2 are not neighbours in input order; in dimension 1
+        # rule 2's antecedent starts first but ends last
+        def rule2d(first, second):
+            return Rule((TrapezoidSet(*first), TrapezoidSet(*second)), TrapezoidSet(0, 0, 0, 0))
+
+        rules = (
+            rule2d((1, 2, 3, 4), (5, 6, 7, 8)),
+            rule2d((11, 12, 13, 14), (21, 22, 23, 24)),
+            rule2d((31, 32, 33, 34), (4, 6, 7, 9)),
+        )
+        with pytest.raises(OrderingViolation, match=r"rules 0 and 2 .* dimension 1$"):
+            RuleBase(rules)
+
+    def test_adjacent_lower_flank_when_rounded_gaps_tie(self):
+        # 1e17 - 0 and 1e17 - 1 round to the same float, so the summed gaps of
+        # the first two rules tie; the lower flank is still the nearer rule
+        rules = (
+            rule1d((-3, -2, -1, 0), (0, 0, 0, 0)),
+            rule1d((-2, -1, 0, 1), (1, 1, 1, 1)),
+            rule1d((3e17,), (2, 2, 2, 2)),
+        )
+        lower, upper = select_flanking(RuleBase(rules), obs1d((1e17,)))
+        assert lower is rules[1] and upper is rules[2]
+
 
 class TestCharacteristicPoints:
     def test_core_inversion_case(self):
@@ -187,6 +222,21 @@ class TestMultiDimension:
         manhattan = kh_characteristic_points(lower, upper, obs, order=1.0)
         assert euclidean.y1 == pytest.approx(50.0 / (5.0 + math.sqrt(41.0)), abs=1e-12)
         assert manhattan.y1 == pytest.approx(70.0 / 16.0, abs=1e-12)
+
+    @pytest.mark.parametrize("order", [1.0, 2.0, 3.0])
+    def test_distances_do_not_overflow_at_huge_coordinates(self, order):
+        # scaling every antecedent and the observation scales both distances
+        # alike, so the weights and the conclusion stay the same
+        def scaled(factor):
+            def at(*points):
+                return TrapezoidSet(*(factor * p for p in points))
+
+            lower = Rule((at(1, 1, 1, 1), at(0, 0, 0, 0)), TrapezoidSet(0, 0, 0, 0))
+            upper = Rule((at(8, 8, 8, 8), at(9, 9, 9, 9)), TrapezoidSet(10, 10, 10, 10))
+            obs = Observation((at(4, 4, 4, 4), at(4, 4, 4, 4)))
+            return kh_characteristic_points(lower, upper, obs, order=order).as_tuple()
+
+        assert scaled(1e200) == pytest.approx(scaled(1.0), rel=1e-12)
 
 
 class TestAlphaProfile:
