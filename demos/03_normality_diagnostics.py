@@ -35,8 +35,9 @@ print(f"  observation length {params.kastar}, gaps {params.da1}, {params.da2}, {
 diag = length_condition(params)
 print(f"  path {diag.path.value}: {diag.length1} vs {diag.length2} -> {diag.verdict.value}")
 
-# The ratio condition reaches the same verdict from gap proportions.
-ratio = ratio_condition(rule_low, rule_high, observation, Segment.LTB)
+# The ratio condition reaches the same verdict from the same parameters,
+# as gap proportions.
+ratio = ratio_condition(params)
 print(f"  ratios {ratio.ratio1:.4f} vs {ratio.ratio2:.4f} -> {ratio.verdict.value}")
 
 # The full report bundles every segment, the direct point-order check and

@@ -32,7 +32,6 @@ from .interpolate import (
     kh_alpha_profile,
     kh_characteristic_points,
     khstab_points,
-    lower_upper_distance,
     select_flanking,
 )
 from .normality import (
@@ -61,17 +60,12 @@ from .rulebase_io import (
     to_rulebase,
 )
 from .sets import (
-    AlphaCut,
     GradedPointList,
     Interval,
     TrapezoidSet,
     alpha_cut,
-    alpha_cut_at,
-    check_convex_normal,
-    make_set,
     membership_grade,
     precedes,
-    set_features,
 )
 
 __version__ = "0.1.0"
@@ -82,22 +76,16 @@ __all__ = [
     # sets
     "Interval",
     "TrapezoidSet",
-    "AlphaCut",
     "GradedPointList",
-    "make_set",
     "membership_grade",
     "alpha_cut",
-    "alpha_cut_at",
-    "set_features",
     "precedes",
-    "check_convex_normal",
     # interpolation
     "Rule",
     "RuleBase",
     "Observation",
     "ConclusionPoints",
     "AlphaProfile",
-    "lower_upper_distance",
     "select_flanking",
     "kh_characteristic_points",
     "kh_alpha_profile",

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .interpolate import (
+    TOL,
     Observation,
     Rule,
     RuleBase,
@@ -33,7 +34,6 @@ __all__ = [
     "SweepOracleResult",
     "ReferenceComparison",
     "PRINTED_TOL",
-    "EXACT_TOL",
     "builtin_cases",
     "run_case",
     "run_all",
@@ -43,10 +43,6 @@ __all__ = [
 
 #: Tolerance against published values, which are rounded to 2-3 decimals.
 PRINTED_TOL = 0.011
-#: Tolerance against values known in closed form.
-EXACT_TOL = 1e-9
-#: Sweep gaps within this tolerance of zero do not count as inversions.
-SWEEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,7 @@ class SweepOracleResult:
     @property
     def abnormal(self) -> bool:
         return (
-            self.min_gap < -SWEEP_TOL
+            self.min_gap < -TOL
             or not self.inf_monotone
             or not self.sup_monotone
         )
@@ -421,8 +417,8 @@ def _label_check(
 
 def run_case(case: BenchmarkCase) -> CaseReport:
     """Compare one case's computed results against its stored expectations."""
-    points = kh_characteristic_points(case.rule_lower, case.rule_upper, case.observation)
     report = full_report(case.rule_lower, case.rule_upper, case.observation)
+    points = report.points
     checks: list[CheckResult] = []
 
     for j, (computed, printed) in enumerate(zip(points.as_tuple(), case.expected_points)):
@@ -432,8 +428,7 @@ def run_case(case: BenchmarkCase) -> CaseReport:
     )
     checks.append(
         CheckResult(
-            "points_exact", None, exact_dev, 0.0, exact_dev, EXACT_TOL,
-            exact_dev <= EXACT_TOL,
+            "points_exact", None, exact_dev, 0.0, exact_dev, TOL, exact_dev <= TOL,
         )
     )
 
@@ -484,15 +479,15 @@ def sweep_oracle(
     gaps = profile.sups - profile.infs
     min_raw = float(gaps.min())
     # near-ties resolve toward the highest level, where inversions concentrate
-    idx = int(np.nonzero(gaps <= min_raw + SWEEP_TOL)[0][-1])
+    idx = int(np.nonzero(gaps <= min_raw + TOL)[0][-1])
     inf_steps = np.diff(profile.infs)
     sup_steps = np.diff(profile.sups)
-    abnormal_levels = tuple(profile.levels[gaps < -SWEEP_TOL].tolist())
+    abnormal_levels = tuple(profile.levels[gaps < -TOL].tolist())
     return SweepOracleResult(
         min_gap=min_raw,
         gap_argmin=float(profile.levels[idx]),
-        inf_monotone=bool(np.all(inf_steps >= -SWEEP_TOL)),
-        sup_monotone=bool(np.all(sup_steps <= SWEEP_TOL)),
+        inf_monotone=bool(np.all(inf_steps >= -TOL)),
+        sup_monotone=bool(np.all(sup_steps <= TOL)),
         abnormal_levels=abnormal_levels,
     )
 

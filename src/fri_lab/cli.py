@@ -162,6 +162,11 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         points = khstab_points(rulebase, observation, exponent=1.0)
     else:
         points = kh_characteristic_points(lower, upper, observation)
+    # everything that can fail runs before the first line is printed
+    report = full_report(lower, upper, observation) if rulebase.dimension == 1 else None
+    oracle = (
+        sweep_oracle(lower, upper, observation, n_levels=args.sweep) if args.sweep else None
+    )
     print(f"method: {args.method}")
     print(f"conclusion points: {_fmt_points(points.as_tuple(), args.decimals)}")
     shape = assemble_conclusion(points)
@@ -172,8 +177,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
             f"({_fmt(x, args.decimals)}, {_fmt(g, args.decimals)})" for x, g in shape
         )
         print(f"conclusion: ABNORMAL, graded points {graded}")
-    if rulebase.dimension == 1:
-        report = full_report(lower, upper, observation)
+    if report is not None:
         _print_verdict_block(report, sys.stdout, args.decimals)
         problem = report.overall is Verdict.PROBLEM
     else:
@@ -181,8 +185,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         for seg, verdict in verdicts.items():
             print(f"{seg.name}: {verdict.value} (direct)")
         problem = any(v is Verdict.PROBLEM for v in verdicts.values())
-    if args.sweep:
-        oracle = sweep_oracle(lower, upper, observation, n_levels=args.sweep)
+    if oracle is not None:
         print(
             f"sweep({args.sweep}): min_gap={_fmt(oracle.min_gap, args.decimals)} "
             f"at level {_fmt(oracle.gap_argmin, args.decimals)}, "

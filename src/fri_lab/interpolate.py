@@ -11,21 +11,22 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DimensionError, DomainError, NotFlanked, OrderingViolation, ZeroSpan
-from .sets import GradedPointList, TrapezoidSet, alpha_cut, precedes
+from .sets import GradedPointList, TrapezoidSet, precedes
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "TOL",
     "Rule",
     "RuleBase",
     "Observation",
     "ConclusionPoints",
     "AlphaProfile",
-    "lower_upper_distance",
     "select_flanking",
     "kh_characteristic_points",
     "kh_alpha_profile",
@@ -33,8 +34,9 @@ __all__ = [
     "assemble_conclusion",
 ]
 
-#: Absolute tolerance for monotonicity and equality checks on conclusions.
-DEFAULT_TOL = 1e-9
+#: Absolute tolerance for every verdict, monotonicity and equality check on
+#: computed values (not for comparisons with rounded published values).
+TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -214,22 +216,6 @@ def _require_flanked(lower: Rule, upper: Rule, obs: Observation) -> None:
             )
 
 
-def lower_upper_distance(
-    a: TrapezoidSet, b: TrapezoidSet, alpha: float
-) -> tuple[float, float]:
-    """Lower and upper distances between the cuts of two ordered sets.
-
-    Returns ``(dL, dU)`` where ``dL`` is the distance between the cut
-    infima and ``dU`` between the cut suprema at level ``alpha``; both are
-    strictly positive because ``a`` must precede ``b``.
-    """
-    if not precedes(a, b):
-        raise OrderingViolation("lower/upper distances need strictly ordered sets")
-    cut_a = alpha_cut(a, alpha)
-    cut_b = alpha_cut(b, alpha)
-    return (cut_b.lo - cut_a.lo, cut_b.hi - cut_a.hi)
-
-
 _NO_LOWER = "no rule precedes the observation in every dimension"
 _NO_UPPER = "no rule succeeds the observation in every dimension"
 
@@ -334,6 +320,21 @@ def _flank_curves(s: TrapezoidSet, levels: np.ndarray) -> tuple[np.ndarray, np.n
     )
 
 
+def _level_minkowski(diffs: list[np.ndarray], order: float) -> np.ndarray:
+    """:func:`_minkowski` at every level at once, without overflow."""
+    import numpy as np
+
+    if len(diffs) == 1:
+        return np.abs(diffs[0])
+    if order == 2.0:
+        return reduce(np.hypot, diffs)
+    magnitudes = np.abs(diffs)
+    scale = magnitudes.max(axis=0)
+    # a level where every difference is zero keeps distance zero
+    ratios = magnitudes / np.where(scale == 0.0, 1.0, scale)
+    return scale * (ratios**order).sum(axis=0) ** (1.0 / order)
+
+
 def kh_alpha_profile(
     lower: Rule,
     upper: Rule,
@@ -356,15 +357,15 @@ def kh_alpha_profile(
 
     def distances(points_of: int) -> tuple[np.ndarray, np.ndarray]:
         # points_of 0: flank infima; 1: flank suprema
-        acc1 = np.zeros_like(levels)
-        acc2 = np.zeros_like(levels)
+        diffs1 = []
+        diffs2 = []
         for d in range(obs.dimension):
             a1_curve = _flank_curves(lower.antecedents[d], levels)[points_of]
             ob_curve = _flank_curves(obs.sets[d], levels)[points_of]
             a2_curve = _flank_curves(upper.antecedents[d], levels)[points_of]
-            acc1 += np.abs(ob_curve - a1_curve) ** order
-            acc2 += np.abs(a2_curve - ob_curve) ** order
-        return acc1 ** (1.0 / order), acc2 ** (1.0 / order)
+            diffs1.append(ob_curve - a1_curve)
+            diffs2.append(a2_curve - ob_curve)
+        return _level_minkowski(diffs1, order), _level_minkowski(diffs2, order)
 
     b1_inf, b1_sup = _flank_curves(lower.consequent, levels)
     b2_inf, b2_sup = _flank_curves(upper.consequent, levels)
@@ -422,17 +423,15 @@ def khstab_points(
     return ConclusionPoints(*values)
 
 
-def assemble_conclusion(
-    p: ConclusionPoints, tol: float = DEFAULT_TOL
-) -> TrapezoidSet | GradedPointList:
+def assemble_conclusion(p: ConclusionPoints) -> TrapezoidSet | GradedPointList:
     """Turn raw conclusion points into a fuzzy set, or keep them raw.
 
-    Monotone points (within ``tol``) become a :class:`TrapezoidSet`; any
+    Monotone points (within :data:`TOL`) become a :class:`TrapezoidSet`; any
     inversion yields the raw traversal as a :class:`GradedPointList` so the
     abnormal shape stays visible.
     """
     y = p.as_tuple()
-    if all(y[k] <= y[k + 1] + tol for k in range(3)):
+    if all(y[k] <= y[k + 1] + TOL for k in range(3)):
         mono = [y[0]]
         for v in y[1:]:
             mono.append(max(mono[-1], v))

@@ -151,6 +151,8 @@ def load_document(data: bytes | str) -> RuleBaseDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("document is nested too deeply") from exc
 
     if not isinstance(raw, dict):
         raise ValidationError("top level must be an object")

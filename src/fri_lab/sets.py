@@ -16,15 +16,10 @@ from .errors import DomainError, OrderingViolation
 __all__ = [
     "Interval",
     "TrapezoidSet",
-    "AlphaCut",
     "GradedPointList",
-    "make_set",
     "membership_grade",
     "alpha_cut",
-    "alpha_cut_at",
-    "set_features",
     "precedes",
-    "check_convex_normal",
 ]
 
 
@@ -40,16 +35,6 @@ class Interval:
             raise DomainError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise OrderingViolation(f"interval endpoints out of order: {self.lo} > {self.hi}")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
 
 @dataclass(frozen=True)
@@ -96,40 +81,12 @@ class TrapezoidSet:
         return (self.a1, self.a2, self.a3, self.a4)
 
     @property
-    def support(self) -> Interval:
-        return Interval(self.a1, self.a4)
-
-    @property
-    def kernel(self) -> Interval:
-        return Interval(self.a2, self.a3)
-
-    @property
-    def width(self) -> float:
-        return self.a4 - self.a1
-
-    @property
-    def height(self) -> float:
-        return 1.0
-
-    @property
     def is_triangle(self) -> bool:
         return self.a2 == self.a3
 
     @property
     def is_singleton(self) -> bool:
         return self.a1 == self.a4
-
-
-@dataclass(frozen=True)
-class AlphaCut:
-    """A cut level in ``(0, 1]`` paired with the crisp interval it selects."""
-
-    level: float
-    cut: Interval
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.level <= 1.0):
-            raise DomainError(f"cut level must be in (0, 1], got {self.level}")
 
 
 @dataclass(frozen=True)
@@ -166,11 +123,6 @@ class GradedPointList:
         return tuple(g for _, g in self.points)
 
 
-def make_set(a1: float, a2: float, a3: float, a4: float) -> TrapezoidSet:
-    """Construct a trapezoidal set, rejecting out-of-order abscissas."""
-    return TrapezoidSet(float(a1), float(a2), float(a3), float(a4))
-
-
 def membership_grade(s: TrapezoidSet, x: float) -> float:
     """Membership of ``x``: 0 outside the support, 1 on the kernel, linear flanks."""
     if x < s.a1 or x > s.a4:
@@ -198,16 +150,6 @@ def alpha_cut(s: TrapezoidSet, alpha: float) -> Interval:
     return Interval(lo, hi)
 
 
-def alpha_cut_at(s: TrapezoidSet, level: float) -> AlphaCut:
-    """Like :func:`alpha_cut` but pairs the cut with its (positive) level."""
-    return AlphaCut(level, alpha_cut(s, level))
-
-
-def set_features(s: TrapezoidSet) -> tuple[Interval, Interval, float, float]:
-    """Return (support, kernel, width, height) of a set."""
-    return (s.support, s.kernel, s.width, s.height)
-
-
 def precedes(a: TrapezoidSet, b: TrapezoidSet) -> bool:
     """Strict precedence: every cut endpoint of ``a`` lies left of ``b``'s.
 
@@ -217,78 +159,3 @@ def precedes(a: TrapezoidSet, b: TrapezoidSet) -> bool:
     decides the ordering for every level at once.
     """
     return a.a1 < b.a1 and a.a2 < b.a2 and a.a3 < b.a3 and a.a4 < b.a4
-
-
-def _level_components(points: Sequence[tuple[float, float]], lam: float, tol: float) -> int:
-    """Number of connected x-intervals of the curve at grade >= lam."""
-    pieces: list[tuple[float, float]] = []
-    cur: list[float] | None = None
-
-    def close() -> None:
-        nonlocal cur
-        if cur is not None:
-            pieces.append((min(cur), max(cur)))
-            cur = None
-
-    if len(points) == 1:
-        x0, g0 = points[0]
-        return 1 if g0 >= lam else 0
-
-    for (x0, g0), (x1, g1) in zip(points, points[1:]):
-        if g0 < lam and g1 < lam:
-            close()
-            continue
-        if g0 >= lam and g1 >= lam:
-            lo_x, hi_x = x0, x1
-        elif g0 >= lam:
-            t = (lam - g0) / (g1 - g0)
-            lo_x, hi_x = x0, x0 + t * (x1 - x0)
-        else:
-            t = (lam - g0) / (g1 - g0)
-            lo_x, hi_x = x0 + t * (x1 - x0), x1
-        if g0 < lam:
-            close()
-        if cur is None:
-            cur = [lo_x, hi_x]
-        else:
-            cur.extend((lo_x, hi_x))
-        if g1 < lam:
-            close()
-    close()
-
-    if not pieces:
-        return 0
-    pieces.sort()
-    components = 1
-    _, reach = pieces[0]
-    for lo, hi in pieces[1:]:
-        if lo > reach + tol:
-            components += 1
-            reach = hi
-        else:
-            reach = max(reach, hi)
-    return components
-
-
-def check_convex_normal(p: GradedPointList, tol: float = 1e-9) -> tuple[bool, bool]:
-    """Decide convexity and normality of a piecewise-linear membership curve.
-
-    The curve is normal when its peak grade reaches 1 and the abscissas are
-    non-decreasing along the traversal; it is convex when every positive
-    grade level selects a single connected x-interval.
-    """
-    xs = p.abscissas
-    gs = p.grades
-    normal = max(gs) >= 1.0 - tol and all(
-        xs[k] <= xs[k + 1] + tol for k in range(len(xs) - 1)
-    )
-
-    levels = sorted(set(g for g in gs if g > 0.0))
-    probes: list[float] = []
-    prev = 0.0
-    for g in levels:
-        probes.append((prev + g) / 2.0)
-        probes.append(g)
-        prev = g
-    convex = all(_level_components(p.points, lam, tol) <= 1 for lam in probes)
-    return convex, normal

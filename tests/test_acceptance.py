@@ -134,8 +134,8 @@ def test_criterion_4_ratio_reproduction():
     for case in builtin_cases():
         for seg in Segment:
             expected = case.expected_segments[seg]
-            diag = ratio_condition(case.rule_lower, case.rule_upper,
-                                   case.observation, seg)
+            diag = ratio_condition(extract_segment_params(
+                case.rule_lower, case.rule_upper, case.observation, seg))
             worst = max(worst, abs(diag.ratio1 - expected.ratio1),
                         abs(diag.ratio2 - expected.ratio2))
     spots = {
@@ -145,7 +145,8 @@ def test_criterion_4_ratio_reproduction():
     }
     for (case_id, seg), (r1, r2) in spots.items():
         case = next(c for c in builtin_cases() if c.case_id == case_id)
-        diag = ratio_condition(case.rule_lower, case.rule_upper, case.observation, seg)
+        diag = ratio_condition(extract_segment_params(
+            case.rule_lower, case.rule_upper, case.observation, seg))
         worst = max(worst, abs(diag.ratio1 - r1), abs(diag.ratio2 - r2))
     _report(
         4,
@@ -184,7 +185,7 @@ def _overall(lower, upper, obs) -> Verdict:
 
 def _ratio_all_normal(lower, upper, obs) -> bool:
     for seg in Segment:
-        diag = ratio_condition(lower, upper, obs, seg)
+        diag = ratio_condition(extract_segment_params(lower, upper, obs, seg))
         if diag.verdict is not Verdict.NORMAL:
             return False
     return True
@@ -250,7 +251,8 @@ def test_criterion_6_property_suites():
     for _ in range(N_TRIALS):
         s = random_trapezoid(rng)
         a1, a2 = sorted((rng.uniform(0, 1), rng.uniform(0, 1)))
-        if not alpha_cut(s, a1).encloses(alpha_cut(s, a2)):
+        outer, inner = alpha_cut(s, a1), alpha_cut(s, a2)
+        if not (outer.lo <= inner.lo and inner.hi <= outer.hi):
             failures.append("alpha-nesting")
             break
 

@@ -11,7 +11,8 @@ from fri_lab import (
     run_case,
     sweep_oracle,
 )
-from fri_lab.benchmark import EXACT_TOL, PRINTED_TOL
+from fri_lab.benchmark import PRINTED_TOL
+from fri_lab.interpolate import TOL
 
 
 def case(case_id):
@@ -130,7 +131,7 @@ class TestGroupStructure:
         for c in builtin_cases():
             report = run_case(c)
             exact = next(ch for ch in report.checks if ch.name == "points_exact")
-            assert exact.deviation <= EXACT_TOL
+            assert exact.deviation <= TOL
 
 
 class TestSweepOracle:

@@ -109,6 +109,7 @@ class TestInterpolate:
         assert code == 1
         assert "min_gap=-1" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_coordinates_do_not_overflow_the_distance(self, tmp_path, capsys):
         big = [[1e200, 2e200, 3e200, 4e200], [1e200, 2e200, 3e200, 4e200]]
         far = [[7e200, 8e200, 9e200, 1e201], [7e200, 8e200, 9e200, 1e201]]
@@ -123,12 +124,34 @@ class TestInterpolate:
         }
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
-        code = main(["interpolate", str(path)])
+        for sweep in ([], ["--sweep", "101"]):
+            code = main(["interpolate", str(path), *sweep])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            assert captured.err == ""
+
+    def test_subnormal_spacing_completes_the_sweep(self, tmp_path, capsys):
+        doc = {
+            "version": "1",
+            "dimension": 1,
+            "rules": [
+                {"antecedents": [[1e-310, 2e-310, 3e-310, 4e-310]], "consequent": [1, 2, 3, 4]},
+                {"antecedents": [[7e-310, 8e-310, 9e-310, 1e-309]], "consequent": [6, 7, 8, 9]},
+            ],
+            "observation": [[4.5e-310, 5e-310, 5e-310, 5.5e-310]],
+        }
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(doc))
+        assert main(["interpolate", str(path), "--sweep", "101"]) == 0
+        out = capsys.readouterr().out
+        assert "conclusion points: (3.9167, 4.5, 4.6667, 5.25)" in out
+        assert out.splitlines()[-1].startswith("sweep(101): min_gap=0.1667 at level 1,")
+
+    def test_failed_sweep_prints_no_partial_report(self, capsys):
+        assert main(["interpolate", fixture(6), "--sweep", "1"]) == 2
         captured = capsys.readouterr()
-        assert code in (0, 2)
-        if code == 2:
-            assert captured.err.startswith("error:")
-            assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert captured.err == "error: need at least 2 levels, got 1\n"
 
 
 class TestValidate:
@@ -159,6 +182,15 @@ class TestValidate:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/path.json"]) == 2
+
+    def test_deeply_nested_document_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
 
 
 class TestPlot:

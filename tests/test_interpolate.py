@@ -13,7 +13,6 @@ from fri_lab import (
     kh_alpha_profile,
     kh_characteristic_points,
     khstab_points,
-    lower_upper_distance,
     select_flanking,
 )
 from fri_lab.errors import (
@@ -34,34 +33,6 @@ def rule1d(antecedent, consequent):
 
 def obs1d(values):
     return Observation((TrapezoidSet.from_points(values),))
-
-
-class TestLowerUpperDistance:
-    def test_uniform_translation(self):
-        a = TrapezoidSet(1, 2, 3, 4)
-        b = TrapezoidSet(6, 7, 8, 9)
-        assert lower_upper_distance(a, b, 0.0) == (5.0, 5.0)
-
-    def test_singleton_to_trapezoid_at_support(self):
-        a = TrapezoidSet(2, 2, 2, 2)
-        b = TrapezoidSet(4.5, 5, 5, 5.5)
-        assert lower_upper_distance(a, b, 0.0) == (2.5, 3.5)
-
-    def test_kernel_level(self):
-        a = TrapezoidSet(1, 2, 3, 4)
-        b = TrapezoidSet(4.2, 5.2, 5.2, 6.7)
-        dl, du = lower_upper_distance(a, b, 1.0)
-        assert dl == pytest.approx(3.2)
-        assert du == pytest.approx(2.2)
-
-    def test_requires_ordering(self):
-        s = TrapezoidSet(1, 2, 3, 4)
-        with pytest.raises(OrderingViolation):
-            lower_upper_distance(s, s, 0.5)
-
-    def test_requires_alpha_in_range(self):
-        with pytest.raises(DomainError):
-            lower_upper_distance(TrapezoidSet(0, 0, 0, 0), TrapezoidSet(1, 1, 1, 1), -0.1)
 
 
 class TestSelectFlanking:
@@ -226,7 +197,7 @@ class TestMultiDimension:
     @pytest.mark.parametrize("order", [1.0, 2.0, 3.0])
     def test_distances_do_not_overflow_at_huge_coordinates(self, order):
         # scaling every antecedent and the observation scales both distances
-        # alike, so the weights and the conclusion stay the same
+        # alike, so the weights, the conclusion and its profile stay the same
         def scaled(factor):
             def at(*points):
                 return TrapezoidSet(*(factor * p for p in points))
@@ -234,7 +205,9 @@ class TestMultiDimension:
             lower = Rule((at(1, 1, 1, 1), at(0, 0, 0, 0)), TrapezoidSet(0, 0, 0, 0))
             upper = Rule((at(8, 8, 8, 8), at(9, 9, 9, 9)), TrapezoidSet(10, 10, 10, 10))
             obs = Observation((at(4, 4, 4, 4), at(4, 4, 4, 4)))
-            return kh_characteristic_points(lower, upper, obs, order=order).as_tuple()
+            points = kh_characteristic_points(lower, upper, obs, order=order)
+            profile = kh_alpha_profile(lower, upper, obs, n_levels=5, order=order)
+            return (*points.as_tuple(), *profile.infs.tolist(), *profile.sups.tolist())
 
         assert scaled(1e200) == pytest.approx(scaled(1.0), rel=1e-12)
 

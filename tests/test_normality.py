@@ -29,6 +29,10 @@ def triple(case_id):
     return c.rule_lower, c.rule_upper, c.observation
 
 
+def all_params(case_id):
+    return tuple(extract_segment_params(*triple(case_id), seg) for seg in Segment)
+
+
 class TestExtractSegmentParams:
     def test_left_boundary_of_case7(self):
         p = extract_segment_params(*triple(7), Segment.LTB)
@@ -106,50 +110,59 @@ class TestLengthCondition:
 
 class TestRatioCondition:
     def test_core_problem_of_case6(self):
-        diag = ratio_condition(*triple(6), Segment.CORE)
+        diag = ratio_condition(extract_segment_params(*triple(6), Segment.CORE))
         assert diag.ratio1 == pytest.approx(1.25)
         assert diag.ratio2 == pytest.approx(1.0)
         assert diag.verdict is Verdict.PROBLEM
 
     def test_left_boundary_normal_of_case1(self):
-        diag = ratio_condition(*triple(1), Segment.LTB)
+        diag = ratio_condition(extract_segment_params(*triple(1), Segment.LTB))
         assert diag.ratio1 == pytest.approx(1.20)
         assert diag.ratio2 == pytest.approx(1.25)
         assert diag.verdict is Verdict.NORMAL
 
     def test_right_boundary_problem_of_case8(self):
-        diag = ratio_condition(*triple(8), Segment.RTB)
+        diag = ratio_condition(extract_segment_params(*triple(8), Segment.RTB))
         assert diag.ratio1 == pytest.approx(1.40625)
         assert diag.ratio2 == pytest.approx(1.142857, abs=1e-5)
         assert diag.verdict is Verdict.PROBLEM
 
-    def test_zero_denominator_is_undefined(self):
-        r1 = Rule((TrapezoidSet(0, 2, 2, 3),), TrapezoidSet(0, 1, 1, 2))
-        r2 = Rule((TrapezoidSet(2, 4, 4, 6),), TrapezoidSet(5, 6, 6, 7))
-        obs = Observation((TrapezoidSet(2.5, 3, 3, 3.5),))
-        diag = ratio_condition(r1, r2, obs, Segment.LTB)
+    @pytest.mark.parametrize(
+        "lower, upper, observed",
+        [
+            ((0, 2, 2, 3), (2, 4, 4, 6), (2.5, 3, 3, 3.5)),
+            # the summed gap da1 + kastar + da2 rounds to 1.1e-16 here
+            ((0, 0.2, 0.7, 1.2), (0.2, 3.2, 3.7, 4.2), (0.1, 0.9, 1.1, 1.3)),
+        ],
+        ids=["integers", "decimals"],
+    )
+    def test_zero_denominator_is_undefined(self, lower, upper, observed):
+        r1 = Rule((TrapezoidSet(*lower),), TrapezoidSet(0, 1, 1, 2))
+        r2 = Rule((TrapezoidSet(*upper),), TrapezoidSet(5, 6, 6, 7))
+        obs = Observation((TrapezoidSet(*observed),))
+        p = extract_segment_params(r1, r2, obs, Segment.LTB)
+        assert p.da_gap == 0.0
+        diag = ratio_condition(p)
         assert diag.verdict is Verdict.UNDEFINED
         assert diag.ratio1 is None and diag.ratio2 is None
         # the length condition still decides
-        assert length_condition(
-            extract_segment_params(r1, r2, obs, Segment.LTB)
-        ).verdict in (Verdict.NORMAL, Verdict.PROBLEM)
+        assert length_condition(p).verdict in (Verdict.NORMAL, Verdict.PROBLEM)
 
 
 class TestClassifyCase:
     def test_case1(self):
-        assert classify_case(*triple(1)) == frozenset({CaseTag.CASE1})
+        assert classify_case(all_params(1)) == frozenset({CaseTag.CASE1})
 
     def test_case2_with_uniform_cores(self):
-        assert classify_case(*triple(3)) == frozenset(
+        assert classify_case(all_params(3)) == frozenset(
             {CaseTag.CASE2, CaseTag.COROLLARY4}
         )
 
     def test_no_hypothesis_for_core_inversion(self):
-        assert classify_case(*triple(6)) == frozenset()
+        assert classify_case(all_params(6)) == frozenset()
 
     def test_case3(self):
-        assert classify_case(*triple(4)) == frozenset({CaseTag.CASE3})
+        assert classify_case(all_params(4)) == frozenset({CaseTag.CASE3})
 
 
 class TestDirectNormality:

@@ -8,12 +8,8 @@ from fri_lab import (
     Interval,
     TrapezoidSet,
     alpha_cut,
-    alpha_cut_at,
-    check_convex_normal,
-    make_set,
     membership_grade,
     precedes,
-    set_features,
 )
 from fri_lab.errors import DomainError, OrderingViolation
 
@@ -22,21 +18,21 @@ from genutil import random_trapezoid
 
 class TestMakeSet:
     def test_plain_trapezoid(self):
-        s = make_set(1, 2, 3, 4)
+        s = TrapezoidSet(1, 2, 3, 4)
         assert s.points() == (1.0, 2.0, 3.0, 4.0)
 
     def test_singleton(self):
-        s = make_set(2, 2, 2, 2)
+        s = TrapezoidSet(2, 2, 2, 2)
         assert s.is_singleton and s.is_triangle
         assert s.points() == (2.0, 2.0, 2.0, 2.0)
 
     def test_ordering_violation_reports_first_bad_pair(self):
         with pytest.raises(OrderingViolation, match="a2=3.0 > a3=2.0"):
-            make_set(1, 3, 2, 4)
+            TrapezoidSet(1.0, 3.0, 2.0, 4.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
-            make_set(1, 2, 3, math.inf)
+            TrapezoidSet(1, 2, 3, math.inf)
 
     def test_from_points_triangle(self):
         assert TrapezoidSet.from_points((1, 2, 3)).points() == (1.0, 2.0, 2.0, 3.0)
@@ -55,95 +51,41 @@ class TestMembership:
         [(2.5, 1.0), (1.5, 0.5), (0.5, 0.0), (1.0, 0.0), (4.0, 0.0), (3.5, 0.5)],
     )
     def test_grades_on_1234(self, x, expected):
-        assert membership_grade(make_set(1, 2, 3, 4), x) == pytest.approx(expected)
+        assert membership_grade(TrapezoidSet(1, 2, 3, 4), x) == pytest.approx(expected)
 
     def test_singleton_spike(self):
-        s = make_set(2, 2, 2, 2)
+        s = TrapezoidSet(2, 2, 2, 2)
         assert membership_grade(s, 2.0) == 1.0
         assert membership_grade(s, 2.0 + 1e-12) == 0.0
 
 
 class TestAlphaCut:
     def test_kernel_at_one(self):
-        assert alpha_cut(make_set(1, 2, 3, 4), 1.0) == Interval(2, 3)
+        assert alpha_cut(TrapezoidSet(1, 2, 3, 4), 1.0) == Interval(2, 3)
 
     def test_half_height(self):
-        assert alpha_cut(make_set(1, 2, 3, 4), 0.5) == Interval(1.5, 3.5)
+        assert alpha_cut(TrapezoidSet(1, 2, 3, 4), 0.5) == Interval(1.5, 3.5)
 
     def test_singleton(self):
-        assert alpha_cut(make_set(2, 2, 2, 2), 0.7) == Interval(2, 2)
+        assert alpha_cut(TrapezoidSet(2, 2, 2, 2), 0.7) == Interval(2, 2)
 
     def test_zero_is_closed_support(self):
-        assert alpha_cut(make_set(1, 2, 3, 4), 0.0) == Interval(1, 4)
+        assert alpha_cut(TrapezoidSet(1, 2, 3, 4), 0.0) == Interval(1, 4)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            alpha_cut(make_set(1, 2, 3, 4), 1.5)
-
-    def test_alpha_cut_at_rejects_zero(self):
-        with pytest.raises(DomainError):
-            alpha_cut_at(make_set(1, 2, 3, 4), 0.0)
-
-    def test_alpha_cut_at_pairs_level(self):
-        ac = alpha_cut_at(make_set(1, 2, 3, 4), 0.25)
-        assert ac.level == 0.25
-        assert ac.cut == Interval(1.25, 3.75)
+            alpha_cut(TrapezoidSet(1, 2, 3, 4), 1.5)
 
     def test_kernel_clamp_survives_catastrophic_cancellation(self):
         # the raw flank interpolation rounds the upper endpoint below the
         # kernel here; the clamp keeps the cut a valid interval
         tiny = 2.3200107436778142e-306
-        s = make_set(0.0, tiny, tiny, 1.0)
+        s = TrapezoidSet(0.0, tiny, tiny, 1.0)
         cut = alpha_cut(s, 1.0)
         assert cut.lo == cut.hi == tiny
 
 
-class TestFeatures:
-    def test_basic(self):
-        support, kernel, width, height = set_features(make_set(1, 2, 3, 4))
-        assert support == Interval(1, 4)
-        assert kernel == Interval(2, 3)
-        assert width == 3.0
-        assert height == 1.0
-
-    def test_singleton(self):
-        _, _, width, height = set_features(make_set(2, 2, 2, 2))
-        assert width == 0.0 and height == 1.0
-
-    def test_narrow_trapezoid(self):
-        support, kernel, width, _ = set_features(make_set(4.5, 5, 5, 5.5))
-        assert kernel == Interval(5, 5)
-        assert width == 1.0
-
-
 class TestConvexNormal:
-    def test_normal_trapezoid_points(self):
-        pl = GradedPointList(((4, 0.0), (4.8, 1.0), (5.2, 1.0), (6, 0.0)))
-        assert check_convex_normal(pl) == (True, True)
-
-    def test_inverted_core_is_abnormal(self):
-        pl = GradedPointList(((4.7, 0.0), (5.7, 1.0), (4.7, 1.0), (6.6, 0.0)))
-        convex, normal = check_convex_normal(pl)
-        assert not normal
-        assert convex  # every level still projects onto one interval
-
-    def test_singleton_points(self):
-        pl = GradedPointList(((5, 0.0), (5, 1.0), (5, 1.0), (5, 0.0)))
-        assert check_convex_normal(pl) == (True, True)
-
-    def test_subnormal_curve(self):
-        pl = GradedPointList(((0, 0.0), (1, 0.6), (2, 0.0)))
-        convex, normal = check_convex_normal(pl)
-        assert convex and not normal
-
-    def test_bimodal_curve_is_not_convex(self):
-        pl = GradedPointList(
-            ((0, 0.0), (1, 1.0), (2, 0.1), (3, 1.0), (4, 0.0))
-        )
-        convex, normal = check_convex_normal(pl)
-        assert not convex
-        assert normal  # abscissas are monotone and the peak reaches 1
-
     def test_grade_outside_unit_interval_rejected(self):
         with pytest.raises(DomainError):
             GradedPointList(((0, 0.0), (1, 1.2)))
@@ -151,17 +93,17 @@ class TestConvexNormal:
 
 class TestPrecedes:
     def test_disjoint_ordered(self):
-        assert precedes(make_set(1, 2, 3, 4), make_set(6, 7, 8, 9))
+        assert precedes(TrapezoidSet(1, 2, 3, 4), TrapezoidSet(6, 7, 8, 9))
 
     def test_irreflexive(self):
-        s = make_set(1, 2, 3, 4)
+        s = TrapezoidSet(1, 2, 3, 4)
         assert not precedes(s, s)
 
     def test_support_infima_out_of_order(self):
-        assert not precedes(make_set(1, 2, 3, 4), make_set(0, 3, 4, 5))
+        assert not precedes(TrapezoidSet(1, 2, 3, 4), TrapezoidSet(0, 3, 4, 5))
 
     def test_overlapping_but_ordered(self):
-        assert precedes(make_set(1, 2, 3, 4), make_set(1.5, 2.5, 3.5, 4.5))
+        assert precedes(TrapezoidSet(1, 2, 3, 4), TrapezoidSet(1.5, 2.5, 3.5, 4.5))
 
 
 def test_precedes_is_strict_partial_order_on_random_triples():
@@ -174,10 +116,3 @@ def test_precedes_is_strict_partial_order_on_random_triples():
         if precedes(a, b) and precedes(b, c):
             assert precedes(a, c)
 
-
-def test_width_equals_support_length_exactly():
-    rng = random.Random(7)
-    for _ in range(200):
-        s = random_trapezoid(rng)
-        support, _, width, _ = set_features(s)
-        assert width == support.hi - support.lo
