@@ -9,9 +9,10 @@ the abnormal conclusions the validator in :mod:`fri_lab.normality` detects.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DimensionError, DomainError, NotFlanked, OrderingViolation, ZeroSpan
@@ -96,6 +97,24 @@ class RuleBase:
 
     def __len__(self) -> int:
         return len(self.rules)
+
+    @cached_property
+    def _point_columns(
+        self,
+    ) -> tuple[tuple[tuple[tuple[float, ...], ...], tuple[float, ...]], ...]:
+        """Per characteristic point ``j``: every rule's antecedent point ``j``,
+        one tuple per dimension, and every rule's consequent point ``j``.
+
+        Rules keep their input order. Built on first use rather than in the
+        constructor, so rule bases that never weight every rule do not pay
+        for it; not a field, so equality, hashing and ``repr`` ignore it.
+        """
+        by_dimension = [
+            tuple(zip(*(s.points() for s in column)))
+            for column in zip(*(rule.antecedents for rule in self.rules))
+        ]
+        consequents = tuple(zip(*(rule.consequent.points() for rule in self.rules)))
+        return tuple(zip(zip(*by_dimension), consequents))
 
 
 def _rule_precedes(a: Rule, b: Rule) -> bool:
@@ -399,27 +418,21 @@ def khstab_points(
             f"dimension {obs.dimension}"
         )
     values = []
-    for j in range(4):
-        dists = [
-            _minkowski(
-                [obs.sets[d].points()[j] - rule.antecedents[d].points()[j]
-                 for d in range(obs.dimension)],
-                order,
-            )
-            for rule in rb.rules
-        ]
-        exact = [idx for idx, dist in enumerate(dists) if dist == 0.0]
-        if exact:
-            values.append(
-                sum(rb.rules[idx].consequent.points()[j] for idx in exact) / len(exact)
-            )
+    observed = zip(*(s.points() for s in obs.sets))
+    for (columns, consequents), point in zip(rb._point_columns, observed):
+        diffs = [[o - a for a in column] for o, column in zip(point, columns)]
+        if len(diffs) == 1:
+            dists = list(map(abs, diffs[0]))
+        elif order == 2.0:
+            dists = list(map(math.hypot, *diffs))
+        else:
+            dists = [_minkowski(ds, order) for ds in zip(*diffs)]
+        if min(dists) == 0.0:
+            hits = [c for c, dist in zip(consequents, dists) if dist == 0.0]
+            values.append(sum(hits) / len(hits))
             continue
         weights = [1.0 / dist**exponent for dist in dists]
-        total = sum(weights)
-        values.append(
-            sum(w * rule.consequent.points()[j] for w, rule in zip(weights, rb.rules))
-            / total
-        )
+        values.append(sum(map(operator.mul, weights, consequents)) / sum(weights))
     return ConclusionPoints(*values)
 
 
