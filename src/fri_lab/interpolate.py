@@ -404,11 +404,18 @@ def khstab_points(
     """Stabilised variant: weight every rule by inverse distance.
 
     Each conclusion point is the mean of all rules' consequent points
-    weighted by ``1 / d**exponent``. A rule at distance zero dominates in
-    the limit, so its consequent point is taken directly (averaged, if
-    several rules touch the observation at that point). With exactly two
-    flanking rules and exponent 1 this reduces to the plain two-rule
-    interpolation.
+    weighted by ``(dmin / d)**exponent``, where ``dmin`` is the distance of
+    the nearest rule. That is the ``1 / d**exponent`` weighting scaled by
+    ``dmin**exponent``, so every weight lies in (0, 1] and neither tiny nor
+    huge distances overflow; far rules may underflow to zero weight. A rule
+    at distance zero dominates in the limit, so its consequent point is
+    taken directly (averaged, if several rules touch the observation at
+    that point). With exactly two flanking rules and exponent 1 this
+    reduces to the plain two-rule interpolation.
+
+    The distances come from one pass per point over the rule base's cached
+    column view (every rule's antecedent point per dimension, built on the
+    first call), not from a loop over the rules.
     """
     if exponent <= 0.0:
         raise DomainError(f"exponent must be positive, got {exponent}")
@@ -427,11 +434,12 @@ def khstab_points(
             dists = list(map(math.hypot, *diffs))
         else:
             dists = [_minkowski(ds, order) for ds in zip(*diffs)]
-        if min(dists) == 0.0:
+        dmin = min(dists)
+        if dmin == 0.0:
             hits = [c for c, dist in zip(consequents, dists) if dist == 0.0]
             values.append(sum(hits) / len(hits))
             continue
-        weights = [1.0 / dist**exponent for dist in dists]
+        weights = [(dmin / dist) ** exponent for dist in dists]
         values.append(sum(map(operator.mul, weights, consequents)) / sum(weights))
     return ConclusionPoints(*values)
 

@@ -17,6 +17,18 @@ def fixture(case_id: int) -> str:
     return str(FIXTURES / f"example_{case_id:02d}.json")
 
 
+# two rules and an observation spaced near 1e-310, where 1/d overflows
+SUBNORMAL_DOC = {
+    "version": "1",
+    "dimension": 1,
+    "rules": [
+        {"antecedents": [[1e-310, 2e-310, 3e-310, 4e-310]], "consequent": [1, 2, 3, 4]},
+        {"antecedents": [[7e-310, 8e-310, 9e-310, 1e-309]], "consequent": [6, 7, 8, 9]},
+    ],
+    "observation": [[4.5e-310, 5e-310, 5e-310, 5.5e-310]],
+}
+
+
 class TestBench:
     def test_full_run_passes(self, capsys):
         assert main(["bench"]) == 0
@@ -131,21 +143,27 @@ class TestInterpolate:
             assert captured.err == ""
 
     def test_subnormal_spacing_completes_the_sweep(self, tmp_path, capsys):
-        doc = {
-            "version": "1",
-            "dimension": 1,
-            "rules": [
-                {"antecedents": [[1e-310, 2e-310, 3e-310, 4e-310]], "consequent": [1, 2, 3, 4]},
-                {"antecedents": [[7e-310, 8e-310, 9e-310, 1e-309]], "consequent": [6, 7, 8, 9]},
-            ],
-            "observation": [[4.5e-310, 5e-310, 5e-310, 5.5e-310]],
-        }
         path = tmp_path / "subnormal.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(SUBNORMAL_DOC))
         assert main(["interpolate", str(path), "--sweep", "101"]) == 0
         out = capsys.readouterr().out
         assert "conclusion points: (3.9167, 4.5, 4.6667, 5.25)" in out
         assert out.splitlines()[-1].startswith("sweep(101): min_gap=0.1667 at level 1,")
+
+    def test_khstab_on_subnormal_spacing_matches_kh(self, tmp_path, capsys):
+        # inverse distances near 1e310 overflow; weights relative to the
+        # nearest rule do not
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(SUBNORMAL_DOC))
+        lines = {}
+        for method in ("kh", "khstab"):
+            assert main(["interpolate", str(path), "--method", method]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            lines[method] = [
+                l for l in captured.out.splitlines() if l.startswith("conclusion points")
+            ]
+        assert lines["khstab"] == lines["kh"] == ["conclusion points: (3.9167, 4.5, 4.6667, 5.25)"]
 
     def test_failed_sweep_prints_no_partial_report(self, capsys):
         assert main(["interpolate", fixture(6), "--sweep", "1"]) == 2
@@ -255,9 +273,11 @@ print("numpy" in sys.modules)
         (["interpolate", fixture(6)], False),
         (["bench"], False),
         (["plot", fixture(6), "-o", "{tmp}/ex6.svg"], False),
+        (["interpolate", fixture(6), "--method", "khstab"], False),
         (["interpolate", fixture(6), "--sweep", "11"], True),
     ],
-    ids=["import", "validate", "interpolate", "bench", "plot", "interpolate-sweep"],
+    ids=["import", "validate", "interpolate", "bench", "plot", "interpolate-khstab",
+         "interpolate-sweep"],
 )
 def test_numpy_loads_only_for_profiles_and_sweeps(tmp_path, argv, loads_numpy):
     src = str(Path(fri_lab.__file__).resolve().parent.parent)

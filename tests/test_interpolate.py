@@ -293,6 +293,42 @@ class TestKhStab:
         with pytest.raises(DomainError):
             khstab_points(rb, obs1d((5, 6, 7, 8)), exponent=0.0)
 
+    @pytest.mark.parametrize("order", [1.0, 2.0, 3.0])
+    def test_weights_do_not_overflow_at_huge_coordinates(self, order):
+        # 1/d**2 overflows at d near 1e200; weights relative to the nearest
+        # rule do not, and they are unchanged by scaling every antecedent
+        def base(scale):
+            return RuleBase(
+                tuple(
+                    Rule(
+                        tuple(TrapezoidSet(*(scale * (x + 6 * i) for x in (1, 2, 3, 4)))
+                              for _ in range(2)),
+                        TrapezoidSet(i, i + 1, i + 2, i + 3),
+                    )
+                    for i in range(3)
+                )
+            )
+
+        def observe(scale):
+            return Observation((TrapezoidSet(*(scale * x for x in (4.5, 5, 5, 5.5))),) * 2)
+
+        huge = khstab_points(base(1e200), observe(1e200), exponent=2.0, order=order)
+        plain = khstab_points(base(1.0), observe(1.0), exponent=2.0, order=order)
+        assert huge.as_tuple() == pytest.approx(plain.as_tuple(), rel=1e-12)
+
+    def test_point_cache_leaves_equality_hash_and_repr(self):
+        def base():
+            return RuleBase(
+                (rule1d((1, 2, 3, 4), (1, 2, 3, 4)), rule1d((6, 7, 8, 9), (6, 7, 8, 9)))
+            )
+
+        cached, fresh = base(), base()
+        khstab_points(cached, obs1d((4.5, 5, 5, 5.5)))
+        assert "_point_columns" in vars(cached) and "_point_columns" not in vars(fresh)
+        assert cached == fresh
+        assert hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh)
+
     def test_degenerate_two_rule_equality_random(self):
         rng = random.Random(11)
         for _ in range(200):
