@@ -374,16 +374,15 @@ def kh_alpha_profile(
     _require_flanked(lower, upper, obs)
     levels = np.linspace(0.0, 1.0, n_levels)
 
+    # each set's (inf, sup) curves, once per dimension
+    a1_curves = [_flank_curves(s, levels) for s in lower.antecedents]
+    ob_curves = [_flank_curves(s, levels) for s in obs.sets]
+    a2_curves = [_flank_curves(s, levels) for s in upper.antecedents]
+
     def distances(points_of: int) -> tuple[np.ndarray, np.ndarray]:
         # points_of 0: flank infima; 1: flank suprema
-        diffs1 = []
-        diffs2 = []
-        for d in range(obs.dimension):
-            a1_curve = _flank_curves(lower.antecedents[d], levels)[points_of]
-            ob_curve = _flank_curves(obs.sets[d], levels)[points_of]
-            a2_curve = _flank_curves(upper.antecedents[d], levels)[points_of]
-            diffs1.append(ob_curve - a1_curve)
-            diffs2.append(a2_curve - ob_curve)
+        diffs1 = [ob[points_of] - a1[points_of] for a1, ob in zip(a1_curves, ob_curves)]
+        diffs2 = [a2[points_of] - ob[points_of] for ob, a2 in zip(ob_curves, a2_curves)]
         return _level_minkowski(diffs1, order), _level_minkowski(diffs2, order)
 
     b1_inf, b1_sup = _flank_curves(lower.consequent, levels)
