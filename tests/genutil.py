@@ -4,7 +4,8 @@ All generators produce flanked 1-d configurations with the observation's
 support strictly between the antecedent supports (the sparse-rule-base
 scenario the diagnostics are stated for). Shapes are (left flank, core,
 right flank) length triples; a set is placed by its support start. The
-module also holds a brute-force reference for flank selection.
+module also holds a brute-force reference for flank selection and the
+per-rule loop that KHstab's column kernel replaced.
 """
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from fri_lab import Observation, Rule, TrapezoidSet
+from fri_lab import Observation, Rule, RuleBase, TrapezoidSet
+from fri_lab.interpolate import _minkowski
 
 
 def trap(base: float, lf: float, core: float, rf: float) -> TrapezoidSet:
@@ -125,3 +127,32 @@ def reference_flanks(rules: Sequence[Rule], obs: Observation) -> tuple[set[int],
         return {idx for idx, gap in gaps.items() if gap == best}
 
     return argmins(lower), argmins(upper)
+
+
+def reference_khstab(
+    rb: RuleBase, obs: Observation, exponent: float = 1.0, order: float = 2.0
+) -> tuple[float, ...]:
+    """KHstab as a loop over the rules, with weights ``1 / d**exponent``."""
+    values = []
+    for j in range(4):
+        dists = [
+            _minkowski(
+                [obs.sets[d].points()[j] - rule.antecedents[d].points()[j]
+                 for d in range(obs.dimension)],
+                order,
+            )
+            for rule in rb.rules
+        ]
+        exact = [idx for idx, dist in enumerate(dists) if dist == 0.0]
+        if exact:
+            values.append(
+                sum(rb.rules[idx].consequent.points()[j] for idx in exact) / len(exact)
+            )
+            continue
+        weights = [1.0 / dist**exponent for dist in dists]
+        total = sum(weights)
+        values.append(
+            sum(w * rule.consequent.points()[j] for w, rule in zip(weights, rb.rules))
+            / total
+        )
+    return tuple(values)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,13 +17,20 @@ from fri_lab import (
     extract_segment_params,
     kh_alpha_profile,
     kh_characteristic_points,
+    khstab_points,
     length_condition,
     membership_grade,
+    precedes,
     select_flanking,
 )
 from fri_lab.errors import NotFlanked
 
-from genutil import random_flanked_config, random_uniform_config, reference_flanks
+from genutil import (
+    random_flanked_config,
+    random_uniform_config,
+    reference_flanks,
+    reference_khstab,
+)
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 levels = st.floats(min_value=0, max_value=1, allow_nan=False)
@@ -99,8 +107,6 @@ def test_uniform_length_condition_is_exact():
 
 
 def test_two_rule_stabilised_variant_collapses_to_plain_interpolation():
-    from fri_lab import khstab_points
-
     rng = random.Random(999)
     for _ in range(500):
         lower, upper, obs = random_flanked_config(rng)
@@ -171,7 +177,7 @@ def _placed(ranked, where, t):
 
 
 @st.composite
-def rule_bases(draw, k, grid, shared):
+def rule_bases(draw, k, grid, shared, max_rules=8):
     """Rules in shuffled input order, with an observation.
 
     With ``shared`` every dimension orders the rules alike; otherwise each
@@ -179,7 +185,7 @@ def rule_bases(draw, k, grid, shared):
     never the identity. The observation sits at the same rank in every
     dimension's order, or anywhere.
     """
-    n = draw(st.integers(min_value=1 if shared else 2, max_value=8))
+    n = draw(st.integers(min_value=1 if shared else 2, max_value=max_rules))
     columns = [draw(chain_column(n, grid)) for _ in range(k)]
     if not shared:
         for d in range(1, k):
@@ -239,3 +245,65 @@ def test_selection_matches_reference_on_shared_order_chains(case):
     lambda k: rule_bases(k, INT_GRID, shared=False)))
 def test_selection_matches_reference_when_dimensions_order_rules_differently(case):
     check_selection_against_reference(*case)
+
+
+# KHstab against the per-rule loop it replaced. Strict precedence gives
+# every rule its own point j in each dimension, so at most one rule can
+# touch a given observation point; an observation may take all four points
+# from one rule, or its low points from one rule and its high points from a
+# rule that succeeds it, so that two points hit two different rules.
+@st.composite
+def khstab_cases(draw, k, shared):
+    rules, obs = draw(rule_bases(k, FLOAT_GRID, shared, max_rules=40))
+    pairs = [(r, s) for r in rules for s in rules
+             if all(map(precedes, r.antecedents, s.antecedents))]
+    hit = draw(st.integers(min_value=0, max_value=3))
+    if hit == 1:
+        obs = Observation(draw(st.sampled_from(rules)).antecedents)
+    elif hit == 2 and pairs:
+        low, high = draw(st.sampled_from(pairs))
+        split = draw(st.integers(min_value=1, max_value=3))
+        obs = Observation(tuple(
+            TrapezoidSet(*(a.points()[:split] + b.points()[split:]))
+            for a, b in zip(low.antecedents, high.antecedents)
+        ))
+    return (RuleBase(rules), obs,
+            draw(st.sampled_from((0.5, 1.0, 2.0, 3.0))), draw(st.sampled_from((1.0, 2.0, 3.0))))
+
+
+def check_khstab_against_reference(rb, obs, exponent, order):
+    got = khstab_points(rb, obs, exponent, order).as_tuple()
+    want = reference_khstab(rb, obs, exponent, order)
+    for j, (g, w) in enumerate(zip(got, want)):
+        touching = any(
+            all(a.points()[j] == o.points()[j] for a, o in zip(rule.antecedents, obs.sets))
+            for rule in rb.rules
+        )
+        if touching:
+            assert g == w
+        else:
+            # the weights are rescaled by the nearest rule's distance, so
+            # the sum rounds differently; its terms are bounded by the
+            # largest consequent point
+            scale = max(abs(rule.consequent.points()[j]) for rule in rb.rules)
+            assert math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+
+@settings(max_examples=150)
+@given(khstab_cases(1, shared=True))
+def test_khstab_matches_reference_on_1d_chains(case):
+    check_khstab_against_reference(*case)
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=2, max_value=3).flatmap(
+    lambda k: khstab_cases(k, shared=True)))
+def test_khstab_matches_reference_on_shared_order_chains(case):
+    check_khstab_against_reference(*case)
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=2, max_value=3).flatmap(
+    lambda k: khstab_cases(k, shared=False)))
+def test_khstab_matches_reference_when_dimensions_order_rules_differently(case):
+    check_khstab_against_reference(*case)
