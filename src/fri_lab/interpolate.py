@@ -412,9 +412,9 @@ def khstab_points(
     that point). With exactly two flanking rules and exponent 1 this
     reduces to the plain two-rule interpolation.
 
-    The distances come from one pass per point over the rule base's cached
-    column view (every rule's antecedent point per dimension, built on the
-    first call), not from a loop over the rules.
+    The distances come from one pass per point over the rule base's column
+    view (every rule's antecedent point per dimension), which is built on
+    the first call and cached on the rule base.
     """
     if exponent <= 0.0:
         raise DomainError(f"exponent must be positive, got {exponent}")
