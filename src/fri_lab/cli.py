@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .benchmark import builtin_cases, compare_reference, run_case, sweep_oracle
-from .errors import FriError
+from .errors import DimensionError, FriError, ValidationError
 from .interpolate import (
     assemble_conclusion,
     kh_characteristic_points,
@@ -36,32 +36,30 @@ def _fmt_points(points, decimals: int) -> str:
     return "(" + ", ".join(_fmt(p, decimals) for p in points) + ")"
 
 
-def _print_verdict_block(report, out, decimals: int) -> None:
+def _print_verdict_block(report, decimals: int) -> None:
     for seg in Segment:
         verdict = report.length_for(seg).verdict
-        print(f"The length ({_VERDICT_HEADERS[seg]}) is ({verdict.value})", file=out)
+        print(f"The length ({_VERDICT_HEADERS[seg]}) is ({verdict.value})")
     for seg in Segment:
         diag = report.length_for(seg)
         op = "<=" if diag.verdict is Verdict.NORMAL else ">"
         print(
             f"{seg.name}: {diag.path.value}, {_fmt(diag.length1, decimals)} {op} "
-            f"{_fmt(diag.length2, decimals)}, {diag.verdict.value}",
-            file=out,
+            f"{_fmt(diag.length2, decimals)}, {diag.verdict.value}"
         )
     for seg in Segment:
         diag = report.ratio_for(seg)
         if diag.verdict is Verdict.UNDEFINED:
-            print(f"{seg.name} ratio: UNDEFINED (zero denominator)", file=out)
+            print(f"{seg.name} ratio: UNDEFINED (zero denominator)")
         else:
             op = "<=" if diag.verdict is Verdict.NORMAL else ">"
             print(
                 f"{seg.name} ratio: {_fmt(diag.ratio1, decimals)} {op} "
-                f"{_fmt(diag.ratio2, decimals)}, {diag.verdict.value}",
-                file=out,
+                f"{_fmt(diag.ratio2, decimals)}, {diag.verdict.value}"
             )
     tags = ", ".join(sorted(t.value for t in report.tags)) or "(none)"
-    print(f"case tags: {tags}", file=out)
-    print(f"overall: {report.overall.value}", file=out)
+    print(f"case tags: {tags}")
+    print(f"overall: {report.overall.value}")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -146,18 +144,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0 if n_passed == len(reports) else 1
 
 
-def _load(path: str):
-    data = Path(path).read_bytes()
-    return load_document(data)
+def _flanked_document(path: str, one_dimension_only: str | None = None):
+    """Load a document; return it, its rule base, observation and flanks.
+
+    ``one_dimension_only`` is the error message with which a command defined
+    for one input dimension rejects any other document, before selection.
+    """
+    doc = load_document(Path(path).read_bytes())
+    rulebase, observation = to_rulebase(doc)
+    if observation is None:
+        raise ValidationError("document has no observation")
+    if one_dimension_only is not None and rulebase.dimension != 1:
+        raise DimensionError(one_dimension_only)
+    lower, upper = select_flanking(rulebase, observation)
+    return doc, rulebase, observation, lower, upper
 
 
 def cmd_interpolate(args: argparse.Namespace) -> int:
-    doc = _load(args.file)
-    rulebase, observation = to_rulebase(doc)
-    if observation is None:
-        print("error: document has no observation", file=sys.stderr)
-        return 2
-    lower, upper = select_flanking(rulebase, observation)
+    _, rulebase, observation, lower, upper = _flanked_document(args.file)
     if args.method == "khstab":
         points = khstab_points(rulebase, observation, exponent=1.0)
     else:
@@ -178,7 +182,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         )
         print(f"conclusion: ABNORMAL, graded points {graded}")
     if report is not None:
-        _print_verdict_block(report, sys.stdout, args.decimals)
+        _print_verdict_block(report, args.decimals)
         problem = report.overall is Verdict.PROBLEM
     else:
         verdicts = direct_normality(points)
@@ -196,34 +200,22 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    doc = _load(args.file)
-    rulebase, observation = to_rulebase(doc)
-    if observation is None:
-        print("error: document has no observation", file=sys.stderr)
-        return 2
-    if rulebase.dimension != 1:
-        print("error: validation diagnostics are defined for dimension 1", file=sys.stderr)
-        return 2
-    lower, upper = select_flanking(rulebase, observation)
+    doc, _, observation, lower, upper = _flanked_document(
+        args.file, "validation diagnostics are defined for dimension 1"
+    )
     report = full_report(lower, upper, observation)
     name = doc.metadata.get("name")
     if name:
         print(name)
     print(f"conclusion points: {_fmt_points(report.points.as_tuple(), args.decimals)}")
-    _print_verdict_block(report, sys.stdout, args.decimals)
+    _print_verdict_block(report, args.decimals)
     return 1 if report.overall is Verdict.PROBLEM else 0
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    doc = _load(args.file)
-    rulebase, observation = to_rulebase(doc)
-    if observation is None:
-        print("error: document has no observation", file=sys.stderr)
-        return 2
-    if rulebase.dimension != 1:
-        print("error: plotting is defined for dimension 1", file=sys.stderr)
-        return 2
-    lower, upper = select_flanking(rulebase, observation)
+    _, _, observation, lower, upper = _flanked_document(
+        args.file, "plotting is defined for dimension 1"
+    )
     points = kh_characteristic_points(lower, upper, observation)
     y = points.as_tuple()
     graded = GradedPointList(((y[0], 0.0), (y[1], 1.0), (y[2], 1.0), (y[3], 0.0)))

@@ -13,7 +13,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import DimensionError, DomainError, NotFlanked, OrderingViolation, ZeroSpan
 from .sets import GradedPointList, TrapezoidSet, precedes
@@ -206,18 +206,6 @@ class AlphaProfile:
         return len(self.levels)
 
 
-def _minkowski(diffs: Sequence[float], order: float) -> float:
-    if len(diffs) == 1:
-        return abs(diffs[0])
-    if order == 2.0:
-        return math.hypot(*diffs)
-    # scaled by the largest term so that no power overflows
-    scale = max(abs(d) for d in diffs)
-    if scale == 0.0:
-        return 0.0
-    return scale * sum((abs(d) / scale) ** order for d in diffs) ** (1.0 / order)
-
-
 def _require_flanked(lower: Rule, upper: Rule, obs: Observation) -> None:
     if lower.dimension != obs.dimension or upper.dimension != obs.dimension:
         raise DimensionError(
@@ -293,38 +281,36 @@ def _bisect_flanking(chain: tuple[Rule, ...], obs: Observation) -> tuple[Rule, R
     return (chain[lower_end - 1], chain[upper_start])
 
 
-def kh_characteristic_points(
-    lower: Rule, upper: Rule, obs: Observation, order: float = 2.0
-) -> ConclusionPoints:
+def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> ConclusionPoints:
     """Interpolate the four conclusion points between two flanking rules.
 
-    For point ``j`` the distances ``d1`` (observation to the lower rule) and
-    ``d2`` (upper rule to the observation) aggregate across dimensions with
-    Minkowski order ``order`` (2 by default, the root-sum-square form), and
+    For point ``j`` the Euclidean distances ``d1`` (observation to the lower
+    rule) and ``d2`` (upper rule to the observation), taken across every
+    input dimension, give
 
         ``y_j = (d2 * b1_j + d1 * b2_j) / (d1 + d2)``
 
     so the conclusion leans toward the nearer rule's consequent. The output
-    is not sorted.
+    is not sorted. Both distances are first scaled by the power of two that
+    brings the larger below 1/2. That leaves the mean unchanged, but keeps
+    its numerator from overflowing for huge consequents and from
+    underflowing for tiny distances.
     """
     _require_flanked(lower, upper, obs)
+    # per point j: the lower antecedents', observation's and upper
+    # antecedents' point j in every dimension
+    lows, observed, ups = (zip(*(s.points() for s in sets))
+                           for sets in (lower.antecedents, obs.sets, upper.antecedents))
+    consequents = (lower.consequent.points(), upper.consequent.points())
     values = []
-    for j in range(4):
-        d1 = _minkowski(
-            [obs.sets[d].points()[j] - lower.antecedents[d].points()[j]
-             for d in range(obs.dimension)],
-            order,
-        )
-        d2 = _minkowski(
-            [upper.antecedents[d].points()[j] - obs.sets[d].points()[j]
-             for d in range(obs.dimension)],
-            order,
-        )
+    for j, (a1, ob, a2, b1, b2) in enumerate(zip(lows, observed, ups, *consequents)):
+        d1 = math.hypot(*map(operator.sub, ob, a1))
+        d2 = math.hypot(*map(operator.sub, a2, ob))
+        shift = -1 - math.frexp(max(d1, d2))[1]
+        d1, d2 = math.ldexp(d1, shift), math.ldexp(d2, shift)
         span = d1 + d2
         if span == 0.0:
             raise ZeroSpan(f"flanking antecedents coincide at point {j + 1}")
-        b1 = lower.consequent.points()[j]
-        b2 = upper.consequent.points()[j]
         values.append((d2 * b1 + d1 * b2) / span)
     return ConclusionPoints(*values)
 
@@ -339,33 +325,16 @@ def _flank_curves(s: TrapezoidSet, levels: np.ndarray) -> tuple[np.ndarray, np.n
     )
 
 
-def _level_minkowski(diffs: list[np.ndarray], order: float) -> np.ndarray:
-    """:func:`_minkowski` at every level at once, without overflow."""
-    import numpy as np
-
-    if len(diffs) == 1:
-        return np.abs(diffs[0])
-    if order == 2.0:
-        return reduce(np.hypot, diffs)
-    magnitudes = np.abs(diffs)
-    scale = magnitudes.max(axis=0)
-    # a level where every difference is zero keeps distance zero
-    ratios = magnitudes / np.where(scale == 0.0, 1.0, scale)
-    return scale * (ratios**order).sum(axis=0) ** (1.0 / order)
-
-
 def kh_alpha_profile(
-    lower: Rule,
-    upper: Rule,
-    obs: Observation,
-    n_levels: int = 1001,
-    order: float = 2.0,
+    lower: Rule, upper: Rule, obs: Observation, n_levels: int = 1001
 ) -> AlphaProfile:
     """Resolve the interpolation at ``n_levels`` equally spaced cut levels.
 
     Levels 0 and 1 reproduce the characteristic points exactly; in between
     the endpoints follow the same weighted mean applied to the cut endpoints
-    of the consequents, with distances re-evaluated per level.
+    of the consequents, with Euclidean distances re-evaluated per level.
+    Every distance is scaled by the one power of two that brings the largest
+    below 1/2, for the reason given in :func:`kh_characteristic_points`.
     """
     import numpy as np
 
@@ -379,38 +348,43 @@ def kh_alpha_profile(
     ob_curves = [_flank_curves(s, levels) for s in obs.sets]
     a2_curves = [_flank_curves(s, levels) for s in upper.antecedents]
 
-    def distances(points_of: int) -> tuple[np.ndarray, np.ndarray]:
+    def distances(points_of: int) -> list[np.ndarray]:
         # points_of 0: flank infima; 1: flank suprema
         diffs1 = [ob[points_of] - a1[points_of] for a1, ob in zip(a1_curves, ob_curves)]
         diffs2 = [a2[points_of] - ob[points_of] for ob, a2 in zip(ob_curves, a2_curves)]
-        return _level_minkowski(diffs1, order), _level_minkowski(diffs2, order)
+        return [reduce(np.hypot, diffs[1:], np.abs(diffs[0])) for diffs in (diffs1, diffs2)]
 
     b1_inf, b1_sup = _flank_curves(lower.consequent, levels)
     b2_inf, b2_sup = _flank_curves(upper.consequent, levels)
 
-    dl1, dl2 = distances(0)
-    du1, du2 = distances(1)
-    if np.any(dl1 + dl2 == 0.0) or np.any(du1 + du2 == 0.0):
+    dists = distances(0) + distances(1)
+    # each distance is the norm of differences affine in the level, so the
+    # largest lies at level 0 or 1; a float holds powers of two up to
+    # 2**1023, which lifts even the smallest subnormal into normal range
+    top = max(max(d[0], d[-1]) for d in dists)
+    scale = math.ldexp(1.0, min(-1 - math.frexp(top)[1], 1023))
+    dl1, dl2, du1, du2 = (d * scale for d in dists)
+    spans_inf, spans_sup = dl1 + dl2, du1 + du2
+    if not (spans_inf.all() and spans_sup.all()):
         raise ZeroSpan("flanking antecedents coincide at some level")
-    infs = (dl2 * b1_inf + dl1 * b2_inf) / (dl1 + dl2)
-    sups = (du2 * b1_sup + du1 * b2_sup) / (du1 + du2)
+    infs = (dl2 * b1_inf + dl1 * b2_inf) / spans_inf
+    sups = (du2 * b1_sup + du1 * b2_sup) / spans_sup
     return AlphaProfile(levels, infs, sups)
 
 
-def khstab_points(
-    rb: RuleBase, obs: Observation, exponent: float = 1.0, order: float = 2.0
-) -> ConclusionPoints:
+def khstab_points(rb: RuleBase, obs: Observation, exponent: float = 1.0) -> ConclusionPoints:
     """Stabilised variant: weight every rule by inverse distance.
 
     Each conclusion point is the mean of all rules' consequent points
-    weighted by ``(dmin / d)**exponent``, where ``dmin`` is the distance of
-    the nearest rule. That is the ``1 / d**exponent`` weighting scaled by
-    ``dmin**exponent``, so every weight lies in (0, 1] and neither tiny nor
-    huge distances overflow; far rules may underflow to zero weight. A rule
-    at distance zero dominates in the limit, so its consequent point is
-    taken directly (averaged, if several rules touch the observation at
-    that point). With exactly two flanking rules and exponent 1 this
-    reduces to the plain two-rule interpolation.
+    weighted by ``(dmin / d)**exponent``, where ``d`` is a rule's Euclidean
+    distance from the observation across every input dimension and ``dmin``
+    that of the nearest rule. That is the ``1 / d**exponent`` weighting
+    scaled by ``dmin**exponent``, so every weight lies in (0, 1] and neither
+    tiny nor huge distances overflow; far rules may underflow to zero
+    weight. A rule at distance zero dominates in the limit, so its
+    consequent point is taken directly (averaged, if several rules touch the
+    observation at that point). With exactly two flanking rules and
+    exponent 1 this reduces to the plain two-rule interpolation.
 
     The distances come from one pass per point over the rule base's column
     view (every rule's antecedent point per dimension), which is built on
@@ -427,12 +401,7 @@ def khstab_points(
     observed = zip(*(s.points() for s in obs.sets))
     for (columns, consequents), point in zip(rb._point_columns, observed):
         diffs = [[o - a for a in column] for o, column in zip(point, columns)]
-        if len(diffs) == 1:
-            dists = list(map(abs, diffs[0]))
-        elif order == 2.0:
-            dists = list(map(math.hypot, *diffs))
-        else:
-            dists = [_minkowski(ds, order) for ds in zip(*diffs)]
+        dists = list(map(math.hypot, *diffs))
         dmin = min(dists)
         if dmin == 0.0:
             hits = [c for c, dist in zip(consequents, dists) if dist == 0.0]

@@ -88,12 +88,11 @@ def render_interpolation_svg(
     upper: Rule,
     obs: Observation,
     conclusion: GradedPointList,
-    dimension: int = 0,
 ) -> str:
-    """Render one input dimension's antecedents and the consequent side."""
-    a1 = lower.antecedents[dimension]
-    a2 = upper.antecedents[dimension]
-    ob = obs.sets[dimension]
+    """Render the first input dimension's antecedents and the consequent side."""
+    a1 = lower.antecedents[0]
+    a2 = upper.antecedents[0]
+    ob = obs.sets[0]
     b1 = lower.consequent
     b2 = upper.consequent
 

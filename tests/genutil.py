@@ -9,12 +9,12 @@ per-rule loop that KHstab's column kernel replaced.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
 
 from fri_lab import Observation, Rule, RuleBase, TrapezoidSet
-from fri_lab.interpolate import _minkowski
 
 
 def trap(base: float, lf: float, core: float, rf: float) -> TrapezoidSet:
@@ -130,17 +130,14 @@ def reference_flanks(rules: Sequence[Rule], obs: Observation) -> tuple[set[int],
 
 
 def reference_khstab(
-    rb: RuleBase, obs: Observation, exponent: float = 1.0, order: float = 2.0
+    rb: RuleBase, obs: Observation, exponent: float = 1.0
 ) -> tuple[float, ...]:
     """KHstab as a loop over the rules, with weights ``1 / d**exponent``."""
     values = []
     for j in range(4):
         dists = [
-            _minkowski(
-                [obs.sets[d].points()[j] - rule.antecedents[d].points()[j]
-                 for d in range(obs.dimension)],
-                order,
-            )
+            math.hypot(*(obs.sets[d].points()[j] - rule.antecedents[d].points()[j]
+                         for d in range(obs.dimension)))
             for rule in rb.rules
         ]
         exact = [idx for idx, dist in enumerate(dists) if dist == 0.0]

@@ -142,6 +142,20 @@ class TestInterpolate:
             assert code == 0, captured.err
             assert captured.err == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [[], ["--method", "khstab"], ["--sweep", "101"]])
+    def test_huge_consequents_do_not_overflow_the_mean(self, tmp_path, capsys, flags):
+        doc = json.loads(Path(fixture(2)).read_text())
+        for rule in doc["rules"]:
+            rule["consequent"] = [1e307 * b for b in rule["consequent"]]
+        path = tmp_path / "huge_consequents.json"
+        path.write_text(json.dumps(doc))
+        code = main(["interpolate", str(path), *flags])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.err == ""
+        assert "conclusion points: (4.5e+307, 5e+307, 5e+307, 5.5e+307)" in captured.out
+
     def test_subnormal_spacing_completes_the_sweep(self, tmp_path, capsys):
         path = tmp_path / "subnormal.json"
         path.write_text(json.dumps(SUBNORMAL_DOC))
