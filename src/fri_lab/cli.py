@@ -6,11 +6,9 @@ benchmark expectation was missed; 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
-from .benchmark import builtin_cases, compare_reference, run_case, sweep_oracle
 from .errors import DimensionError, FriError, ValidationError
 from .interpolate import (
     assemble_conclusion,
@@ -19,7 +17,6 @@ from .interpolate import (
     select_flanking,
 )
 from .normality import Segment, Verdict, direct_normality, full_report
-from .plotting import render_interpolation_svg
 from .rulebase_io import load_document, to_rulebase
 from .sets import GradedPointList, TrapezoidSet
 
@@ -63,6 +60,8 @@ def _print_verdict_block(report, decimals: int) -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .benchmark import builtin_cases, compare_reference, run_case, sweep_oracle
+
     cases = builtin_cases()
     if args.case is not None:
         cases = tuple(c for c in cases if c.case_id == args.case)
@@ -134,6 +133,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     n_passed = sum(1 for r in reports if r.passed)
     print(f"{n_passed}/{len(reports)} cases passed")
     if args.csv:
+        import csv
+
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(
@@ -168,9 +169,11 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         points = kh_characteristic_points(lower, upper, observation)
     # everything that can fail runs before the first line is printed
     report = full_report(lower, upper, observation) if rulebase.dimension == 1 else None
-    oracle = (
-        sweep_oracle(lower, upper, observation, n_levels=args.sweep) if args.sweep else None
-    )
+    oracle = None
+    if args.sweep:
+        from .benchmark import sweep_oracle
+
+        oracle = sweep_oracle(lower, upper, observation, n_levels=args.sweep)
     print(f"method: {args.method}")
     print(f"conclusion points: {_fmt_points(points.as_tuple(), args.decimals)}")
     shape = assemble_conclusion(points)
@@ -213,6 +216,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from .plotting import render_interpolation_svg
+
     _, _, observation, lower, upper = _flanked_document(
         args.file, "plotting is defined for dimension 1"
     )

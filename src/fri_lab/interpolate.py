@@ -101,20 +101,28 @@ class RuleBase:
     @cached_property
     def _point_columns(
         self,
-    ) -> tuple[tuple[tuple[tuple[float, ...], ...], tuple[float, ...]], ...]:
+    ) -> tuple[tuple[tuple[tuple[float, ...], ...], tuple[float, ...], int], ...]:
         """Per characteristic point ``j``: every rule's antecedent point ``j``,
-        one tuple per dimension, and every rule's consequent point ``j``.
+        one tuple per dimension, every rule's consequent point ``j`` divided
+        by ``2**shift``, and ``shift``.
 
-        Rules keep their input order. Built on first use rather than in the
-        constructor, so rule bases that never weight every rule do not pay
-        for it; not a field, so equality, hashing and ``repr`` ignore it.
+        ``shift`` is 0 unless the rule count times the largest consequent
+        point ``j`` could pass the largest float; then it is the least power
+        of two that keeps a weighted sum of those points, with weights at
+        most 1, finite. Rules keep their input order. Built on first use
+        rather than in the constructor, so rule bases that never weight every
+        rule do not pay for it; not a field, so equality, hashing and
+        ``repr`` ignore it.
         """
         by_dimension = [
             tuple(zip(*(s.points() for s in column)))
             for column in zip(*(rule.antecedents for rule in self.rules))
         ]
         consequents = tuple(zip(*(rule.consequent.points() for rule in self.rules)))
-        return tuple(zip(zip(*by_dimension), consequents))
+        n_bits = len(self.rules).bit_length()
+        shifts = [max(0, math.frexp(max(map(abs, c)))[1] + n_bits - 1024) for c in consequents]
+        scaled = [tuple(math.ldexp(b, -shift) for b in c) for c, shift in zip(consequents, shifts)]
+        return tuple(zip(zip(*by_dimension), scaled, shifts))
 
 
 def _rule_precedes(a: Rule, b: Rule) -> bool:
@@ -388,7 +396,9 @@ def khstab_points(rb: RuleBase, obs: Observation, exponent: float = 1.0) -> Conc
 
     The distances come from one pass per point over the rule base's column
     view (every rule's antecedent point per dimension), which is built on
-    the first call and cached on the rule base.
+    the first call and cached on the rule base. The view also holds the
+    consequent points divided by one power of two, chosen so that the
+    weighted sum cannot overflow even when they are near the largest float.
     """
     if exponent <= 0.0:
         raise DomainError(f"exponent must be positive, got {exponent}")
@@ -399,16 +409,17 @@ def khstab_points(rb: RuleBase, obs: Observation, exponent: float = 1.0) -> Conc
         )
     values = []
     observed = zip(*(s.points() for s in obs.sets))
-    for (columns, consequents), point in zip(rb._point_columns, observed):
+    for (columns, consequents, shift), point in zip(rb._point_columns, observed):
         diffs = [[o - a for a in column] for o, column in zip(point, columns)]
         dists = list(map(math.hypot, *diffs))
         dmin = min(dists)
         if dmin == 0.0:
             hits = [c for c, dist in zip(consequents, dists) if dist == 0.0]
-            values.append(sum(hits) / len(hits))
-            continue
-        weights = [(dmin / dist) ** exponent for dist in dists]
-        values.append(sum(map(operator.mul, weights, consequents)) / sum(weights))
+            mean = sum(hits) / len(hits)
+        else:
+            weights = [(dmin / dist) ** exponent for dist in dists]
+            mean = sum(map(operator.mul, weights, consequents)) / sum(weights)
+        values.append(math.ldexp(mean, shift))
     return ConclusionPoints(*values)
 
 

@@ -179,6 +179,31 @@ class TestInterpolate:
             ]
         assert lines["khstab"] == lines["kh"] == ["conclusion points: (3.9167, 4.5, 4.6667, 5.25)"]
 
+    def test_khstab_on_huge_consequents_matches_kh(self, tmp_path, capsys):
+        # the weighted sum of three consequent points near 1e308 exceeds the
+        # largest float; their mean does not
+        doc = {
+            "version": "1",
+            "dimension": 1,
+            "rules": [
+                {"antecedents": [[x, x + 1, x + 2, x + 3]],
+                 "consequent": [1e308, 1.1e308, 1.2e308, 1.3e308]}
+                for x in (0, 10, 20)
+            ],
+            "observation": [[5, 6, 7, 8]],
+        }
+        path = tmp_path / "huge_consequents.json"
+        path.write_text(json.dumps(doc))
+        outputs = {}
+        for method in ("kh", "khstab"):
+            code = main(["interpolate", str(path), "--method", method])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            assert captured.err == ""
+            outputs[method] = captured.out.split("\n", 1)
+        assert outputs["khstab"][1] == outputs["kh"][1]
+        assert "conclusion points: (1e+308, 1.1e+308, 1.2e+308, 1.3e+308)" in outputs["kh"][1]
+
     def test_failed_sweep_prints_no_partial_report(self, capsys):
         assert main(["interpolate", fixture(6), "--sweep", "1"]) == 2
         captured = capsys.readouterr()
@@ -269,14 +294,54 @@ def test_module_entry_point_runs():
     assert "1/1 cases passed" in proc.stdout
 
 
-NUMPY_PROBE = """
+# prints, after the command's own output, every module that importing the
+# package and running the command loaded
+MODULES_PROBE = """
+import json
 import sys
+before = set(sys.modules)
 import fri_lab
 if sys.argv[1:]:
     from fri_lab.cli import main
     main(sys.argv[1:])
-print("numpy" in sys.modules)
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
+
+# after a bare import: which package modules are loaded, what a submodule
+# attribute and an unknown attribute resolve to, and which public names a
+# star import leaves unbound or binds to another object
+NAMESPACE_PROBE = """
+import json
+import sys
+import fri_lab
+report = {"loaded": sorted(m for m in sys.modules if m.startswith("fri_lab."))}
+report["submodules"] = [fri_lab.normality.__name__, fri_lab.errors.__name__]
+try:
+    fri_lab.no_such_name
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+star = {}
+exec("from fri_lab import *", star)
+report["unbound"] = [n for n in fri_lab.__all__ if star.get(n) is not getattr(fri_lab, n)]
+report["dir"] = dir(fri_lab) == sorted(fri_lab.__all__)
+print(json.dumps(report))
+"""
+
+
+def run_probe(probe: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``probe`` with ``argv`` in a fresh interpreter on this checkout's package."""
+    src = str(Path(fri_lab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
+    )
+
+
+def modules_loaded(tmp_path, argv: list[str]) -> set[str]:
+    proc = run_probe(MODULES_PROBE, [a.format(tmp=tmp_path) for a in argv])
+    assert proc.stdout, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 @pytest.mark.parametrize(
@@ -294,11 +359,31 @@ print("numpy" in sys.modules)
          "interpolate-sweep"],
 )
 def test_numpy_loads_only_for_profiles_and_sweeps(tmp_path, argv, loads_numpy):
-    src = str(Path(fri_lab.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    args = [a.format(tmp=tmp_path) for a in argv]
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *args], capture_output=True, text=True, env=env
-    )
-    assert proc.stdout.splitlines()[-1] == str(loads_numpy), proc.stderr
+    assert ("numpy" in modules_loaded(tmp_path, argv)) == loads_numpy
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", fixture(6)],
+        ["interpolate", fixture(6)],
+        ["interpolate", fixture(6), "--method", "khstab"],
+    ],
+    ids=["validate", "interpolate", "interpolate-khstab"],
+)
+def test_document_commands_load_no_benchmark_plotting_or_csv(tmp_path, argv):
+    unused = {"fri_lab.benchmark", "fri_lab.plotting", "fri_lab.fixtures", "csv"}
+    loaded = modules_loaded(tmp_path, argv)
+    assert "fri_lab.normality" in loaded
+    assert not loaded & unused
+
+
+def test_package_namespace_is_lazy_and_complete():
+    proc = run_probe(NAMESPACE_PROBE, [])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == []
+    assert report["submodules"] == ["fri_lab.normality", "fri_lab.errors"]
+    assert report["unknown"] == "module 'fri_lab' has no attribute 'no_such_name'"
+    assert report["unbound"] == []
+    assert report["dir"]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -313,6 +314,22 @@ class TestKhStab:
         huge = khstab_points(base(1e200), observe(1e200), exponent=2.0)
         plain = khstab_points(base(1.0), observe(1.0), exponent=2.0)
         assert huge.as_tuple() == pytest.approx(plain.as_tuple(), rel=1e-12)
+
+    def test_weighted_sum_does_not_overflow_at_huge_consequents(self):
+        # three weighted consequent points near 2**1023 sum past the largest
+        # float; scaling by a power of two gives the same bits, only scaled
+        def base(shift):
+            return RuleBase(tuple(
+                rule1d((10 * i, 10 * i + 1, 10 * i + 2, 10 * i + 3),
+                       tuple(math.ldexp(i + j, shift) for j in range(1, 5)))
+                for i in range(3)
+            ))
+
+        obs = obs1d((5, 6, 7, 8.5))
+        for exponent in (0.5, 1.0, 2.0):
+            huge = khstab_points(base(1021), obs, exponent).as_tuple()
+            plain = khstab_points(base(0), obs, exponent).as_tuple()
+            assert huge == tuple(math.ldexp(y, 1021) for y in plain)
 
     def test_point_cache_leaves_equality_hash_and_repr(self):
         def base():

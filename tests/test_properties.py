@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fri_lab import (
@@ -288,8 +288,22 @@ def check_khstab_against_reference(rb, obs, exponent):
             assert math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
 
+# the nearest rule lies 2e-238 away at point 4, so 1 / d**2 in floating
+# point divides by a square that underflows to zero
+TINY_GAP_CASE = (
+    RuleBase(
+        (Rule((TrapezoidSet(0.0, 0.0, 0.0, 1.996947296596248e-238),), TrapezoidSet(0, 1, 2, 3)),)
+        + tuple(Rule((TrapezoidSet(i, i, i, i),), TrapezoidSet(i, i + 1, i + 2, i + 3))
+                for i in range(1, 18))
+    ),
+    Observation((TrapezoidSet(0.0, 0.0, 0.0, 0.0),)),
+    2.0,
+)
+
+
 @settings(max_examples=150)
 @given(khstab_cases(1, shared=True))
+@example(TINY_GAP_CASE)
 def test_khstab_matches_reference_on_1d_chains(case):
     check_khstab_against_reference(*case)
 
