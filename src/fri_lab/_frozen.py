@@ -1,0 +1,120 @@
+"""Immutable value classes built from their annotations, cheaply at import.
+
+``@frozen`` turns the annotated names of a class into fields and gives the
+class a keyword-capable ``__init__`` (which calls ``__post_init__`` when the
+class defines one), a ``Name(field=value, ...)`` repr, ``__eq__`` over the
+field tuple between instances of the same class, a matching ``__hash__``,
+and assignment and deletion that raise :class:`AttributeError`. Post-init
+code sets derived fields with ``object.__setattr__``.
+
+Only ``__init__`` is generated as source and compiled, once per class, so
+that building an instance runs straight-line code; the other methods are
+closures over the field names, because compiling them as well would more
+than double the time it takes to build each class. Supported is only what
+this package's classes use: plain defaults and :class:`field`. Base
+classes, ``__slots__`` and ordering are not.
+"""
+from __future__ import annotations
+
+from operator import attrgetter
+from typing import Any, Callable
+
+_MISSING = object()
+
+
+class field:
+    """Options of one field, given as its default: ``x: int = field(init=False)``.
+
+    ``init=False`` leaves the field out of ``__init__``, so ``__post_init__``
+    must set it; ``repr=False`` keeps it out of the repr, ``compare=False``
+    out of ``==`` and the hash; ``default_factory`` is called once per
+    instance built without the argument.
+    """
+
+    __slots__ = ("init", "repr", "compare", "default_factory")
+
+    def __init__(
+        self,
+        *,
+        init: bool = True,
+        repr: bool = True,
+        compare: bool = True,
+        default_factory: Callable[[], Any] | None = None,
+    ) -> None:
+        self.init = init
+        self.repr = repr
+        self.compare = compare
+        self.default_factory = default_factory
+
+
+_PLAIN = field()
+
+
+def _setattr(self: object, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self: object, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _values(names: list[str]) -> Callable[[object], tuple]:
+    """A function returning the tuple of the named attributes of its argument."""
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda self: (get(self),)
+
+
+def frozen(cls: type) -> type:
+    """Make ``cls`` an immutable value class over its annotated fields."""
+    env: dict[str, Any] = {"_set": object.__setattr__, "_MISSING": _MISSING}
+    params, body, shown, compared = [], [], [], []
+    for name in cls.__annotations__:
+        default = cls.__dict__.get(name, _MISSING)
+        options = _PLAIN
+        if isinstance(default, field):
+            options, default = default, _MISSING
+            delattr(cls, name)
+        if options.repr:
+            shown.append(name)
+        if options.compare:
+            compared.append(name)
+        if not options.init:
+            continue
+        if options.default_factory is not None:
+            env[f"_factory_{name}"] = options.default_factory
+            params.append(f"{name}=_MISSING")
+            body.append(f"_set(self, {name!r}, _factory_{name}() if {name} is _MISSING else {name})")
+            continue
+        if default is _MISSING:
+            params.append(name)
+        else:
+            env[f"_default_{name}"] = default
+            params.append(f"{name}=_default_{name}")
+        body.append(f"_set(self, {name!r}, {name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(
+        f"def __init__(self, {', '.join(params)}):\n"
+        + "".join(f"    {line}\n" for line in body or ["pass"]),
+        env,
+    )
+    values = _values(compared)
+
+    def __repr__(self: object) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self: object, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self: object) -> int:
+        return hash(values(self))
+
+    for method in (env["__init__"], __repr__, __eq__, __hash__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__setattr__ = _setattr
+    cls.__delattr__ = _delattr
+    return cls

@@ -9,9 +9,9 @@ sweep that serves as an independent abnormality oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ._frozen import frozen
 from .interpolate import (
     TOL,
     Observation,
@@ -45,7 +45,7 @@ __all__ = [
 PRINTED_TOL = 0.011
 
 
-@dataclass(frozen=True)
+@frozen
 class ExpectedSegment:
     """Published per-segment diagnostics: lengths, ratios, path and verdict."""
 
@@ -57,7 +57,7 @@ class ExpectedSegment:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
+@frozen
 class ReferenceRow:
     """One row of the published method-comparison table.
 
@@ -72,7 +72,7 @@ class ReferenceRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class BenchmarkCase:
     case_id: int
     name: str
@@ -91,7 +91,7 @@ class BenchmarkCase:
         return RuleBase((self.rule_lower, self.rule_upper))
 
 
-@dataclass(frozen=True)
+@frozen
 class CheckResult:
     """One compared quantity: numeric values carry a deviation, labels do not."""
 
@@ -104,7 +104,7 @@ class CheckResult:
     passed: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class CaseReport:
     case_id: int
     name: str
@@ -119,7 +119,7 @@ class CaseReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-@dataclass(frozen=True)
+@frozen
 class BenchmarkReport:
     case_reports: tuple[CaseReport, ...]
 
@@ -136,7 +136,7 @@ class BenchmarkReport:
         return all(r.passed for r in self.case_reports)
 
 
-@dataclass(frozen=True)
+@frozen
 class SweepOracleResult:
     """Aggregated dense-sweep diagnostics.
 
@@ -162,7 +162,7 @@ class SweepOracleResult:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class ReferenceComparison:
     """A reference row next to this package's computation, when applicable."""
 

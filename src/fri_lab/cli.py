@@ -1,11 +1,14 @@
 """Command-line front end: benchmark runner, interpolation, validation, plots.
 
 Exit codes: 0 success / all checks passed; 1 a verdict was PROBLEM or a
-benchmark expectation was missed; 2 usage or input errors.
+benchmark expectation was missed; 2 usage or input errors; 141 (128 +
+SIGPIPE, as a shell reports a process that signal ended) when standard
+output is closed before everything is written.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from .normality import Segment, Verdict, direct_normality, full_report
 from .rulebase_io import load_document, to_rulebase
 from .sets import GradedPointList, TrapezoidSet
 
+_EXIT_BROKEN_PIPE = 141
 _VERDICT_HEADERS = {Segment.LTB: "LFBound", Segment.CORE: "Core", Segment.RTB: "RFBound"}
 
 
@@ -275,7 +279,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed the pipe fails this flush, not the one at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to the null device when the interpreter
+        # flushes at exit, so it reports nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_BROKEN_PIPE
     except FriError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Iterator
 
+from ._frozen import field, frozen
 from .errors import DimensionError, DomainError, NotFlanked, OrderingViolation, ZeroSpan
 from .sets import GradedPointList, TrapezoidSet, precedes
 
@@ -40,7 +40,7 @@ __all__ = [
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@frozen
 class Rule:
     """One fuzzy rule: an antecedent set per input dimension and a consequent."""
 
@@ -57,7 +57,7 @@ class Rule:
         return len(self.antecedents)
 
 
-@dataclass(frozen=True)
+@frozen
 class Observation:
     """An observed fuzzy value per input dimension."""
 
@@ -73,7 +73,7 @@ class Observation:
         return len(self.sets)
 
 
-@dataclass(frozen=True)
+@frozen
 class RuleBase:
     """A sparse rule base whose antecedents form a chain in every dimension."""
 
@@ -156,7 +156,7 @@ def _chain_order(rules: tuple[Rule, ...]) -> tuple[Rule, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
+@frozen
 class ConclusionPoints:
     """Raw interpolated characteristic points, possibly non-monotone."""
 
@@ -174,7 +174,7 @@ class ConclusionPoints:
         return (self.y1, self.y2, self.y3, self.y4)
 
 
-@dataclass(frozen=True)
+@frozen
 class AlphaProfile:
     """Sampled cut-level profile of a conclusion.
 

@@ -9,10 +9,10 @@ conditions and with the direct monotonicity of the interpolated points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
+from ._frozen import frozen
 from .errors import DimensionError
 from .interpolate import TOL, ConclusionPoints, Observation, Rule, kh_characteristic_points
 
@@ -67,7 +67,7 @@ _SEGMENT_INDICES: Mapping[Segment, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class SegmentParams:
     """Length parameters of one segment of a flanked 1-d configuration.
 
@@ -102,7 +102,7 @@ class SegmentParams:
         return abs(self.kb1 - self.kb2) <= TOL
 
 
-@dataclass(frozen=True)
+@frozen
 class LengthDiagnostics:
     segment: Segment
     path: ConditionPath
@@ -111,7 +111,7 @@ class LengthDiagnostics:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
+@frozen
 class RatioDiagnostics:
     segment: Segment
     ratio1: float | None
@@ -119,7 +119,7 @@ class RatioDiagnostics:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
+@frozen
 class NormalityReport:
     """All diagnostics for one flanked configuration."""
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
+from ._frozen import field, frozen
 from .errors import ParseError, ValidationError
 from .interpolate import Observation, Rule, RuleBase
 from .sets import TrapezoidSet
@@ -50,7 +50,7 @@ def _check_arity(s: TrapezoidSet, arity: int, where: str) -> None:
         raise ValidationError(f"{where}: arity 3 requires a triangle")
 
 
-@dataclass(frozen=True)
+@frozen
 class RuleBaseDocument:
     """A parsed rule-base document with per-array arity records."""
 

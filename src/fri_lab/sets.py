@@ -8,9 +8,9 @@ are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._frozen import frozen
 from .errors import DomainError, OrderingViolation
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class Interval:
     """Closed real interval with ``lo <= hi``."""
 
@@ -37,7 +37,7 @@ class Interval:
             raise OrderingViolation(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
 
-@dataclass(frozen=True)
+@frozen
 class TrapezoidSet:
     """Convex normal fuzzy set with linear flanks.
 
@@ -89,7 +89,7 @@ class TrapezoidSet:
         return self.a1 == self.a4
 
 
-@dataclass(frozen=True)
+@frozen
 class GradedPointList:
     """Vertices of a piecewise-linear membership curve.
 

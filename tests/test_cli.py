@@ -328,13 +328,17 @@ print(json.dumps(report))
 """
 
 
-def run_probe(probe: str, argv: list[str]) -> subprocess.CompletedProcess:
-    """Run ``probe`` with ``argv`` in a fresh interpreter on this checkout's package."""
+def package_env() -> dict[str, str]:
+    """This environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(fri_lab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_probe(probe: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``probe`` with ``argv`` in a fresh interpreter on this checkout's package."""
     return subprocess.run(
-        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=package_env()
     )
 
 
@@ -376,6 +380,44 @@ def test_document_commands_load_no_benchmark_plotting_or_csv(tmp_path, argv):
     loaded = modules_loaded(tmp_path, argv)
     assert "fri_lab.normality" in loaded
     assert not loaded & unused
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", fixture(6)],
+        ["interpolate", fixture(6)],
+        ["interpolate", fixture(6), "--method", "khstab"],
+        ["plot", fixture(6), "-o", "{tmp}/ex6.svg"],
+        ["bench"],
+    ],
+    ids=["validate", "interpolate", "interpolate-khstab", "plot", "bench"],
+)
+def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+    loaded = modules_loaded(tmp_path, argv)
+    assert "fri_lab.sets" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fri_lab", "validate", fixture(1)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_package_namespace_is_lazy_and_complete():
