@@ -486,8 +486,8 @@ def sweep_oracle(
     return SweepOracleResult(
         min_gap=min_raw,
         gap_argmin=float(profile.levels[idx]),
-        inf_monotone=bool(np.all(inf_steps >= -TOL)),
-        sup_monotone=bool(np.all(sup_steps <= TOL)),
+        inf_monotone=bool((inf_steps >= -TOL).all()),
+        sup_monotone=bool((sup_steps <= TOL).all()),
         abnormal_levels=abnormal_levels,
     )
 

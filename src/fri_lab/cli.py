@@ -277,12 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        # a reader that closed the pipe fails this flush, not the one at exit
-        sys.stdout.flush()
-        return code
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        finally:
+            # a reader that closed the pipe fails this flush, not the one at
+            # exit; it also runs when --help leaves through SystemExit
+            sys.stdout.flush()
     except BrokenPipeError:
         # what is still buffered goes to the null device when the interpreter
         # flushes at exit, so it reports nothing more

@@ -12,6 +12,7 @@ import math
 import operator
 from bisect import bisect_left
 from functools import cached_property, reduce
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterator
 
 from ._frozen import field, frozen
@@ -99,12 +100,12 @@ class RuleBase:
         return len(self.rules)
 
     @cached_property
-    def _point_columns(
+    def _point_rows(
         self,
     ) -> tuple[tuple[tuple[tuple[float, ...], ...], tuple[float, ...], int], ...]:
-        """Per characteristic point ``j``: every rule's antecedent point ``j``,
-        one tuple per dimension, every rule's consequent point ``j`` divided
-        by ``2**shift``, and ``shift``.
+        """Per characteristic point ``j``: every rule's antecedent point ``j``
+        as one tuple over the dimensions, every rule's consequent point ``j``
+        divided by ``2**shift``, and ``shift``.
 
         ``shift`` is 0 unless the rule count times the largest consequent
         point ``j`` could pass the largest float; then it is the least power
@@ -114,15 +115,12 @@ class RuleBase:
         rule do not pay for it; not a field, so equality, hashing and
         ``repr`` ignore it.
         """
-        by_dimension = [
-            tuple(zip(*(s.points() for s in column)))
-            for column in zip(*(rule.antecedents for rule in self.rules))
-        ]
+        rows = zip(*(zip(*(s.points() for s in rule.antecedents)) for rule in self.rules))
         consequents = tuple(zip(*(rule.consequent.points() for rule in self.rules)))
         n_bits = len(self.rules).bit_length()
         shifts = [max(0, math.frexp(max(map(abs, c)))[1] + n_bits - 1024) for c in consequents]
         scaled = [tuple(math.ldexp(b, -shift) for b in c) for c, shift in zip(consequents, shifts)]
-        return tuple(zip(zip(*by_dimension), scaled, shifts))
+        return tuple(zip(rows, scaled, shifts))
 
 
 def _rule_precedes(a: Rule, b: Rule) -> bool:
@@ -197,9 +195,9 @@ class AlphaProfile:
             raise DomainError("levels, infs and sups must be 1-d arrays of equal length")
         if len(levels) < 2 or levels[0] != 0.0 or levels[-1] != 1.0:
             raise DomainError("levels must run from 0 to 1")
-        if not np.all(np.diff(levels) > 0):
+        if not (levels[1:] > levels[:-1]).all():
             raise DomainError("levels must be strictly increasing")
-        if not (np.all(np.isfinite(infs)) and np.all(np.isfinite(sups))):
+        if not (np.isfinite(infs).all() and np.isfinite(sups).all()):
             raise DomainError("profile endpoints must be finite")
         for arr in (levels, infs, sups):
             arr.setflags(write=False)
@@ -312,8 +310,8 @@ def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> Conc
     consequents = (lower.consequent.points(), upper.consequent.points())
     values = []
     for j, (a1, ob, a2, b1, b2) in enumerate(zip(lows, observed, ups, *consequents)):
-        d1 = math.hypot(*map(operator.sub, ob, a1))
-        d2 = math.hypot(*map(operator.sub, a2, ob))
+        d1 = math.dist(ob, a1)
+        d2 = math.dist(a2, ob)
         shift = -1 - math.frexp(max(d1, d2))[1]
         d1, d2 = math.ldexp(d1, shift), math.ldexp(d2, shift)
         span = d1 + d2
@@ -321,16 +319,6 @@ def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> Conc
             raise ZeroSpan(f"flanking antecedents coincide at point {j + 1}")
         values.append((d2 * b1 + d1 * b2) / span)
     return ConclusionPoints(*values)
-
-
-def _flank_curves(s: TrapezoidSet, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cut infimum and supremum of a set at each level, clamped at the kernel."""
-    import numpy as np
-
-    return (
-        np.minimum(s.a2, s.a1 + levels * (s.a2 - s.a1)),
-        np.maximum(s.a3, s.a4 - levels * (s.a4 - s.a3)),
-    )
 
 
 def kh_alpha_profile(
@@ -343,6 +331,13 @@ def kh_alpha_profile(
     of the consequents, with Euclidean distances re-evaluated per level.
     Every distance is scaled by the one power of two that brings the largest
     below 1/2, for the reason given in :func:`kh_characteristic_points`.
+
+    The work is done on one array over sets × cut sides (inf, sup) × levels,
+    the sets being the lower antecedents, the observation, the upper
+    antecedents and the two consequents. Each set's two endpoint curves are
+    written into it with scalar operations; then one subtraction gives both
+    distance sides in every dimension, and one weighted mean gives the infs
+    and the sups.
     """
     import numpy as np
 
@@ -350,33 +345,31 @@ def kh_alpha_profile(
         raise DomainError(f"need at least 2 levels, got {n_levels}")
     _require_flanked(lower, upper, obs)
     levels = np.linspace(0.0, 1.0, n_levels)
+    # per set, its cut infimum and supremum at every level: the lower
+    # antecedents, the observation and the upper antecedents, one set per
+    # dimension each, then the lower and the upper consequent
+    sets = (*lower.antecedents, *obs.sets, *upper.antecedents, lower.consequent, upper.consequent)
+    curves = np.empty((len(sets), 2, n_levels))
+    for s, (inf, sup) in zip(sets, curves):
+        # each endpoint moves linearly in the level and stops at the kernel
+        np.minimum(s.a2, s.a1 + levels * (s.a2 - s.a1), out=inf)
+        np.maximum(s.a3, s.a4 - levels * (s.a4 - s.a3), out=sup)
 
-    # each set's (inf, sup) curves, once per dimension
-    a1_curves = [_flank_curves(s, levels) for s in lower.antecedents]
-    ob_curves = [_flank_curves(s, levels) for s in obs.sets]
-    a2_curves = [_flank_curves(s, levels) for s in upper.antecedents]
-
-    def distances(points_of: int) -> list[np.ndarray]:
-        # points_of 0: flank infima; 1: flank suprema
-        diffs1 = [ob[points_of] - a1[points_of] for a1, ob in zip(a1_curves, ob_curves)]
-        diffs2 = [a2[points_of] - ob[points_of] for ob, a2 in zip(ob_curves, a2_curves)]
-        return [reduce(np.hypot, diffs[1:], np.abs(diffs[0])) for diffs in (diffs1, diffs2)]
-
-    b1_inf, b1_sup = _flank_curves(lower.consequent, levels)
-    b2_inf, b2_sup = _flank_curves(upper.consequent, levels)
-
-    dists = distances(0) + distances(1)
+    # ob - a1 and a2 - ob in every dimension on both cut sides, then the norms
+    k = obs.dimension
+    placed = curves[: 3 * k].reshape(3, k, 2, n_levels)
+    diffs = placed[1:] - placed[:-1]
+    dists = reduce(np.hypot, (diffs[:, d] for d in range(1, k)), np.abs(diffs[:, 0]))
     # each distance is the norm of differences affine in the level, so the
     # largest lies at level 0 or 1; a float holds powers of two up to
     # 2**1023, which lifts even the smallest subnormal into normal range
-    top = max(max(d[0], d[-1]) for d in dists)
-    scale = math.ldexp(1.0, min(-1 - math.frexp(top)[1], 1023))
-    dl1, dl2, du1, du2 = (d * scale for d in dists)
-    spans_inf, spans_sup = dl1 + dl2, du1 + du2
-    if not (spans_inf.all() and spans_sup.all()):
+    top = float(dists[..., :: n_levels - 1].max())
+    dists *= math.ldexp(1.0, min(-1 - math.frexp(top)[1], 1023))
+    d1, d2 = dists
+    spans = d1 + d2
+    if not spans.all():
         raise ZeroSpan("flanking antecedents coincide at some level")
-    infs = (dl2 * b1_inf + dl1 * b2_inf) / spans_inf
-    sups = (du2 * b1_sup + du1 * b2_sup) / spans_sup
+    infs, sups = (d2 * curves[-2] + d1 * curves[-1]) / spans
     return AlphaProfile(levels, infs, sups)
 
 
@@ -394,11 +387,12 @@ def khstab_points(rb: RuleBase, obs: Observation, exponent: float = 1.0) -> Conc
     observation at that point). With exactly two flanking rules and
     exponent 1 this reduces to the plain two-rule interpolation.
 
-    The distances come from one pass per point over the rule base's column
-    view (every rule's antecedent point per dimension), which is built on
-    the first call and cached on the rule base. The view also holds the
-    consequent points divided by one power of two, chosen so that the
-    weighted sum cannot overflow even when they are near the largest float.
+    The distances come from one ``math.dist`` call per rule and point over
+    the rule base's row view (every rule's antecedent point as one tuple
+    over the dimensions), which is built on the first call and cached on the
+    rule base. The view also holds the consequent points divided by one
+    power of two, chosen so that the weighted sum cannot overflow even when
+    they are near the largest float.
     """
     if exponent <= 0.0:
         raise DomainError(f"exponent must be positive, got {exponent}")
@@ -409,9 +403,8 @@ def khstab_points(rb: RuleBase, obs: Observation, exponent: float = 1.0) -> Conc
         )
     values = []
     observed = zip(*(s.points() for s in obs.sets))
-    for (columns, consequents, shift), point in zip(rb._point_columns, observed):
-        diffs = [[o - a for a in column] for o, column in zip(point, columns)]
-        dists = list(map(math.hypot, *diffs))
+    for (rows, consequents, shift), point in zip(rb._point_rows, observed):
+        dists = list(map(math.dist, repeat(point), rows))
         dmin = min(dists)
         if dmin == 0.0:
             hits = [c for c, dist in zip(consequents, dists) if dist == 0.0]

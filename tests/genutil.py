@@ -4,8 +4,9 @@ All generators produce flanked 1-d configurations with the observation's
 support strictly between the antecedent supports (the sparse-rule-base
 scenario the diagnostics are stated for). Shapes are (left flank, core,
 right flank) length triples; a set is placed by its support start. The
-module also holds a brute-force reference for flank selection and the
-per-rule loop that KHstab's column kernel replaced.
+module also holds a brute-force reference for flank selection, the
+per-rule loop that KHstab's kernel replaced, and a level-by-level
+reference for the α-profile.
 """
 from __future__ import annotations
 
@@ -164,3 +165,42 @@ def reference_khstab(
             / total
         ))
     return tuple(values)
+
+
+def reference_profile(
+    lower: Rule, upper: Rule, obs: Observation, levels: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """The α-profile of ``kh_alpha_profile`` at ``levels``, one level at a time
+    in plain floats: the same cut endpoints, distances, power-of-two scale
+    and weighted mean, in the same order. Returns the infs and the sups.
+
+    Distances across several dimensions use ``math.hypot`` where the library
+    chains ``np.hypot``, so those may differ in the last bits; in one
+    dimension both take the absolute difference.
+    """
+    def cut(s: TrapezoidSet, level: float) -> tuple[float, float]:
+        # np.minimum(a2, x) and np.maximum(a3, x) return x on a tie
+        return (min(s.a1 + level * (s.a2 - s.a1), s.a2), max(s.a4 - level * (s.a4 - s.a3), s.a3))
+
+    def norm(diffs: list[float]) -> float:
+        return abs(diffs[0]) if len(diffs) == 1 else math.hypot(*diffs)
+
+    # per level and cut side: the distances observation - lower, upper - observation
+    dists = []
+    for level in levels:
+        lows, observed, ups = ([cut(s, level) for s in sets]
+                               for sets in (lower.antecedents, obs.sets, upper.antecedents))
+        dists.append([
+            (norm([o[side] - a[side] for a, o in zip(lows, observed)]),
+             norm([u[side] - o[side] for o, u in zip(observed, ups)]))
+            for side in (0, 1)
+        ])
+    top = max(d for per_level in (dists[0], dists[-1]) for pair in per_level for d in pair)
+    scale = math.ldexp(1.0, min(-1 - math.frexp(top)[1], 1023))
+    sides: tuple[list[float], list[float]] = ([], [])
+    for level, per_level in zip(levels, dists):
+        b1, b2 = cut(lower.consequent, level), cut(upper.consequent, level)
+        for side, values in enumerate(sides):
+            d1, d2 = (d * scale for d in per_level[side])
+            values.append((d2 * b1[side] + d1 * b2[side]) / (d1 + d2))
+    return sides

@@ -339,7 +339,7 @@ class TestKhStab:
 
         cached, fresh = base(), base()
         khstab_points(cached, obs1d((4.5, 5, 5, 5.5)))
-        assert "_point_columns" in vars(cached) and "_point_columns" not in vars(fresh)
+        assert "_point_rows" in vars(cached) and "_point_rows" not in vars(fresh)
         assert cached == fresh
         assert hash(cached) == hash(fresh)
         assert repr(cached) == repr(fresh)

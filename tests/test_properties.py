@@ -30,6 +30,7 @@ from genutil import (
     random_uniform_config,
     reference_flanks,
     reference_khstab,
+    reference_profile,
 )
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -320,3 +321,48 @@ def test_khstab_matches_reference_on_shared_order_chains(case):
     lambda k: khstab_cases(k, shared=False)))
 def test_khstab_matches_reference_when_dimensions_order_rules_differently(case):
     check_khstab_against_reference(*case)
+
+
+# The α-profile against its level-by-level reference. In every dimension
+# the lower antecedent's points lie in [0, 1], the observation's in [2, 3]
+# and the upper antecedent's in [4, 5], times that dimension's power of
+# ten; the consequents are free, at another power of ten.
+@st.composite
+def profile_cases(draw):
+    unit = st.floats(min_value=0, max_value=1)
+
+    def trapezoid(offset, scale):
+        points = sorted(draw(st.tuples(unit, unit, unit, unit)))
+        return TrapezoidSet(*(scale * (offset + x) for x in points))
+
+    def consequent(scale):
+        points = sorted(draw(st.tuples(*[st.floats(min_value=-1, max_value=1)] * 4)))
+        return TrapezoidSet(*(scale * x for x in points))
+
+    exponent = st.integers(min_value=-300, max_value=300)
+    scales = [10.0 ** draw(exponent) for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    lows, observed, ups = ([trapezoid(offset, scale) for scale in scales] for offset in (0, 2, 4))
+    b_scale = 10.0 ** draw(exponent)
+    return (Rule(tuple(lows), consequent(b_scale)), Rule(tuple(ups), consequent(b_scale)),
+            Observation(tuple(observed)))
+
+
+@settings(max_examples=200)
+@given(profile_cases(), st.sampled_from((2, 3, 11, 101)))
+def test_profile_matches_level_by_level_reference(case, n_levels):
+    lower, upper, obs = case
+    profile = kh_alpha_profile(lower, upper, obs, n_levels)
+    levels = profile.levels.tolist()
+    assert levels == pytest.approx([i / (n_levels - 1) for i in range(n_levels)], abs=1e-15)
+    got = (profile.infs.tolist(), profile.sups.tolist())
+    want = reference_profile(lower, upper, obs, levels)
+    if obs.dimension == 1:
+        assert [list(map(float.hex, side)) for side in got] == [
+            list(map(float.hex, side)) for side in want
+        ]
+    else:
+        # each endpoint is a weighted mean of consequent points, so a last-bit
+        # difference in a distance moves it by ulps of the largest of them
+        ulp = math.ulp(max(abs(b) for rule in (lower, upper) for b in rule.consequent.points()))
+        for g, w in zip(got, want):
+            assert max(abs(x - y) for x, y in zip(g, w)) <= 4 * ulp
