@@ -52,7 +52,7 @@ for level, inf, sup in profile:
     marker = "  <-- inverted" if inf > sup else ""
     print(f"  level {level:4.2f}: [{inf:.3f}, {sup:.3f}]{marker}")
 
-# The stabilised variant weights every rule by inverse distance. With just
-# two flanking rules and exponent 1 it coincides with the plain form.
-stab = khstab_points(RuleBase((rule_low, rule_high)), observation, exponent=1.0)
+# The stabilised variant weights every rule by its inverse distance. With
+# just two flanking rules it coincides with the plain form.
+stab = khstab_points(RuleBase((rule_low, rule_high)), observation)
 print("stabilised variant on the two-rule base:", stab.as_tuple())

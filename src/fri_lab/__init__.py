@@ -37,8 +37,7 @@ _EXPORTS = {
         "run_case", "run_all", "sweep_oracle", "compare_reference",
     ),
     "rulebase_io": (
-        "FORMAT_VERSION", "RuleBaseDocument", "load_document", "save_document",
-        "document_from_sets", "to_rulebase",
+        "FORMAT_VERSION", "RuleBaseDocument", "load_document", "save_document", "to_rulebase",
     ),
     "fixtures": ("fixture_document", "fixture_filename", "export_fixtures"),
     "plotting": ("render_interpolation_svg",),

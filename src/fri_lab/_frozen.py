@@ -11,8 +11,8 @@ Only ``__init__`` is generated as source and compiled, once per class, so
 that building an instance runs straight-line code; the other methods are
 closures over the field names, because compiling them as well would more
 than double the time it takes to build each class. Supported is only what
-this package's classes use: plain defaults and :class:`field`. Base
-classes, ``__slots__`` and ordering are not.
+this package's classes use: plain defaults and ``field(init=False)``.
+Base classes, ``__slots__`` and ordering are not.
 """
 from __future__ import annotations
 
@@ -23,31 +23,17 @@ _MISSING = object()
 
 
 class field:
-    """Options of one field, given as its default: ``x: int = field(init=False)``.
+    """A field left out of ``__init__``: ``x: int = field(init=False)``.
 
-    ``init=False`` leaves the field out of ``__init__``, so ``__post_init__``
-    must set it; ``repr=False`` keeps it out of the repr, ``compare=False``
-    out of ``==`` and the hash; ``default_factory`` is called once per
-    instance built without the argument.
+    ``__post_init__`` must set it. It still takes part in the repr, ``==``
+    and the hash; an attribute that should not is set in ``__post_init__``
+    without an annotation.
     """
 
-    __slots__ = ("init", "repr", "compare", "default_factory")
+    __slots__ = ("init",)
 
-    def __init__(
-        self,
-        *,
-        init: bool = True,
-        repr: bool = True,
-        compare: bool = True,
-        default_factory: Callable[[], Any] | None = None,
-    ) -> None:
+    def __init__(self, *, init: bool = True) -> None:
         self.init = init
-        self.repr = repr
-        self.compare = compare
-        self.default_factory = default_factory
-
-
-_PLAIN = field()
 
 
 def _setattr(self: object, name: str, value: object) -> None:
@@ -66,25 +52,15 @@ def _values(names: list[str]) -> Callable[[object], tuple]:
 
 def frozen(cls: type) -> type:
     """Make ``cls`` an immutable value class over its annotated fields."""
-    env: dict[str, Any] = {"_set": object.__setattr__, "_MISSING": _MISSING}
-    params, body, shown, compared = [], [], [], []
-    for name in cls.__annotations__:
+    env: dict[str, Any] = {"_set": object.__setattr__}
+    names, params, body = list(cls.__annotations__), [], []
+    for name in names:
         default = cls.__dict__.get(name, _MISSING)
-        options = _PLAIN
         if isinstance(default, field):
-            options, default = default, _MISSING
             delattr(cls, name)
-        if options.repr:
-            shown.append(name)
-        if options.compare:
-            compared.append(name)
-        if not options.init:
-            continue
-        if options.default_factory is not None:
-            env[f"_factory_{name}"] = options.default_factory
-            params.append(f"{name}=_MISSING")
-            body.append(f"_set(self, {name!r}, _factory_{name}() if {name} is _MISSING else {name})")
-            continue
+            if not default.init:
+                continue
+            default = _MISSING
         if default is _MISSING:
             params.append(name)
         else:
@@ -98,10 +74,10 @@ def frozen(cls: type) -> type:
         + "".join(f"    {line}\n" for line in body or ["pass"]),
         env,
     )
-    values = _values(compared)
+    values = _values(names)
 
     def __repr__(self: object) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __eq__(self: object, other: object) -> bool:

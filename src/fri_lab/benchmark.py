@@ -501,7 +501,7 @@ def compare_reference(case: BenchmarkCase) -> tuple[ReferenceComparison, ...]:
                 case.rule_lower, case.rule_upper, case.observation
             ).as_tuple()
         elif row.method == "KHstab":
-            computed = khstab_points(case.rule_base(), case.observation, exponent=1.0).as_tuple()
+            computed = khstab_points(case.rule_base(), case.observation).as_tuple()
         else:
             rows.append(
                 ReferenceComparison(

@@ -71,9 +71,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cases = tuple(c for c in cases if c.case_id == args.case)
     reports = [run_case(c) for c in cases]
     rows = []
+    n_passed = 0
     for case, report in zip(cases, reports):
-        status = "pass" if report.passed else "FAIL"
-        print(f"Case {case.case_id} ({case.name}): {status}")
+        oracle = None
+        passed = report.passed
+        if args.sweep:
+            oracle = sweep_oracle(
+                case.rule_lower, case.rule_upper, case.observation, n_levels=args.sweep
+            )
+            overall = next(c for c in report.checks if c.name == "overall")
+            agrees = oracle.abnormal == (overall.computed == Verdict.PROBLEM.value)
+            # a sweep that contradicts the verdict fails the case
+            passed = passed and agrees
+        n_passed += passed
+        print(f"Case {case.case_id} ({case.name}): {'pass' if passed else 'FAIL'}")
         point_checks = [c for c in report.checks if c.name.startswith("point_y")]
         computed = tuple(c.computed for c in point_checks)
         expected = tuple(c.expected for c in point_checks)
@@ -110,12 +121,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"verdict {named['length_verdict'].computed} "
                 f"(expected {named['length_verdict'].expected})"
             )
-        if args.sweep:
-            oracle = sweep_oracle(
-                case.rule_lower, case.rule_upper, case.observation, n_levels=args.sweep
-            )
-            overall = next(c for c in report.checks if c.name == "overall")
-            agrees = oracle.abnormal == (overall.computed == Verdict.PROBLEM.value)
+        if oracle is not None:
             print(
                 f"  sweep({args.sweep}): min_gap={_fmt(oracle.min_gap, args.decimals)} "
                 f"at level {_fmt(oracle.gap_argmin, args.decimals)}, "
@@ -134,7 +140,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"computed {_fmt_points(ref.computed_points, args.decimals)} "
                     f"{'pass' if ref.passed else 'FAIL'}"
                 )
-    n_passed = sum(1 for r in reports if r.passed)
     print(f"{n_passed}/{len(reports)} cases passed")
     if args.csv:
         import csv
@@ -167,12 +172,16 @@ def _flanked_document(path: str, one_dimension_only: str | None = None):
 
 def cmd_interpolate(args: argparse.Namespace) -> int:
     _, rulebase, observation, lower, upper = _flanked_document(args.file)
-    if args.method == "khstab":
-        points = khstab_points(rulebase, observation, exponent=1.0)
-    else:
-        points = kh_characteristic_points(lower, upper, observation)
     # everything that can fail runs before the first line is printed
+    if args.method == "khstab":
+        points = khstab_points(rulebase, observation)
     report = full_report(lower, upper, observation) if rulebase.dimension == 1 else None
+    if args.method == "kh":
+        # in one dimension the report already holds the KH points
+        if report is not None:
+            points = report.points
+        else:
+            points = kh_characteristic_points(lower, upper, observation)
     oracle = None
     if args.sweep:
         from .benchmark import sweep_oracle

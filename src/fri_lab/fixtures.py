@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .benchmark import BenchmarkCase, builtin_cases
-from .rulebase_io import RuleBaseDocument, document_from_sets, save_document
+from .rulebase_io import FORMAT_VERSION, RuleBaseDocument, save_document
 
 __all__ = ["fixture_document", "export_fixtures", "fixture_filename"]
 
@@ -35,11 +35,12 @@ def fixture_filename(case_id: int) -> str:
 def fixture_document(case: BenchmarkCase) -> RuleBaseDocument:
     """Document holding one case's rules and observation, with provenance."""
     rule_arities, obs_arity = _CASE_ARITIES[case.case_id]
-    return document_from_sets(
+    return RuleBaseDocument(
+        version=FORMAT_VERSION,
+        dimension=case.observation.dimension,
         rules=(case.rule_lower, case.rule_upper),
         observation=case.observation,
-        name=f"Example {case.case_id}",
-        notes=case.provenance_note,
+        metadata={"name": f"Example {case.case_id}", "notes": case.provenance_note},
         rule_arities=rule_arities,
         observation_arity=obs_arity,
     )

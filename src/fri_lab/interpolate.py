@@ -80,8 +80,6 @@ class RuleBase:
 
     rules: tuple[Rule, ...]
     dimension: int = field(init=False)
-    #: The rules in chain order when every dimension orders them alike, else None.
-    _chain: tuple[Rule, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -94,6 +92,8 @@ class RuleBase:
                     f"rule {idx} has dimension {rule.dimension}, expected {k}"
                 )
         object.__setattr__(self, "dimension", k)
+        # the rules in chain order when every dimension orders them alike,
+        # else None; not a field, so equality, hashing and repr ignore it
         object.__setattr__(self, "_chain", _chain_order(self.rules))
 
     def __len__(self) -> int:
@@ -373,19 +373,19 @@ def kh_alpha_profile(
     return AlphaProfile(levels, infs, sups)
 
 
-def khstab_points(rb: RuleBase, obs: Observation, exponent: float = 1.0) -> ConclusionPoints:
+def khstab_points(rb: RuleBase, obs: Observation) -> ConclusionPoints:
     """Stabilised variant: weight every rule by inverse distance.
 
     Each conclusion point is the mean of all rules' consequent points
-    weighted by ``(dmin / d)**exponent``, where ``d`` is a rule's Euclidean
-    distance from the observation across every input dimension and ``dmin``
-    that of the nearest rule. That is the ``1 / d**exponent`` weighting
-    scaled by ``dmin**exponent``, so every weight lies in (0, 1] and neither
-    tiny nor huge distances overflow; far rules may underflow to zero
-    weight. A rule at distance zero dominates in the limit, so its
-    consequent point is taken directly (averaged, if several rules touch the
-    observation at that point). With exactly two flanking rules and
-    exponent 1 this reduces to the plain two-rule interpolation.
+    weighted by ``dmin / d``, where ``d`` is a rule's Euclidean distance
+    from the observation across every input dimension and ``dmin`` that of
+    the nearest rule. That is the ``1 / d`` weighting scaled by ``dmin``, so
+    every weight lies in (0, 1] and neither tiny nor huge distances
+    overflow; far rules may underflow to zero weight. A rule at distance
+    zero dominates in the limit, so its consequent point is taken directly;
+    strict precedence gives every rule its own point in each dimension, so
+    at most one rule touches the observation at a point. With exactly two
+    flanking rules this reduces to the plain two-rule interpolation.
 
     The distances come from one ``math.dist`` call per rule and point over
     the rule base's row view (every rule's antecedent point as one tuple
@@ -394,8 +394,6 @@ def khstab_points(rb: RuleBase, obs: Observation, exponent: float = 1.0) -> Conc
     power of two, chosen so that the weighted sum cannot overflow even when
     they are near the largest float.
     """
-    if exponent <= 0.0:
-        raise DomainError(f"exponent must be positive, got {exponent}")
     if rb.dimension != obs.dimension:
         raise DimensionError(
             f"rule base dimension {rb.dimension} does not match observation "
@@ -407,10 +405,9 @@ def khstab_points(rb: RuleBase, obs: Observation, exponent: float = 1.0) -> Conc
         dists = list(map(math.dist, repeat(point), rows))
         dmin = min(dists)
         if dmin == 0.0:
-            hits = [c for c, dist in zip(consequents, dists) if dist == 0.0]
-            mean = sum(hits) / len(hits)
+            mean = consequents[dists.index(0.0)]
         else:
-            weights = [(dmin / dist) ** exponent for dist in dists]
+            weights = [dmin / dist for dist in dists]
             mean = sum(map(operator.mul, weights, consequents)) / sum(weights)
         values.append(math.ldexp(mean, shift))
     return ConclusionPoints(*values)

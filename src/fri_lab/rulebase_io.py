@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping
 
-from ._frozen import field, frozen
+from ._frozen import frozen
 from .errors import ParseError, ValidationError
 from .interpolate import Observation, Rule, RuleBase
 from .sets import TrapezoidSet
@@ -32,7 +32,6 @@ __all__ = [
     "RuleBaseDocument",
     "load_document",
     "save_document",
-    "document_from_sets",
     "to_rulebase",
 ]
 
@@ -58,7 +57,7 @@ class RuleBaseDocument:
     dimension: int
     rules: tuple[Rule, ...]
     observation: Observation | None = None
-    metadata: Mapping[str, str] = field(default_factory=dict)
+    metadata: Mapping[str, str] = {}  # copied in __post_init__, never shared
     rule_arities: tuple[tuple[tuple[int, ...], int], ...] = ()
     observation_arity: tuple[int, ...] | None = None
 
@@ -258,39 +257,6 @@ def save_document(doc: RuleBaseDocument) -> bytes:
             for s, ar in zip(doc.observation.sets, doc.observation_arity or ())
         ]
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-
-
-def document_from_sets(
-    rules: Iterable[Rule],
-    observation: Observation | None = None,
-    name: str | None = None,
-    notes: str | None = None,
-    rule_arities: Sequence[tuple[Sequence[int], int]] | None = None,
-    observation_arity: Sequence[int] | None = None,
-) -> RuleBaseDocument:
-    """Build a document from in-memory values.
-
-    Without explicit arity records every set is saved in canonical 4-point
-    form.
-    """
-    rules = tuple(rules)
-    metadata: dict[str, str] = {}
-    if name is not None:
-        metadata["name"] = name
-    if notes is not None:
-        metadata["notes"] = notes
-    dimension = rules[0].dimension if rules else 0
-    return RuleBaseDocument(
-        version=FORMAT_VERSION,
-        dimension=dimension,
-        rules=rules,
-        observation=observation,
-        metadata=metadata,
-        rule_arities=tuple(
-            (tuple(ant_ars), con_ar) for ant_ars, con_ar in (rule_arities or ())
-        ),
-        observation_arity=tuple(observation_arity) if observation_arity else None,
-    )
 
 
 def to_rulebase(doc: RuleBaseDocument) -> tuple[RuleBase, Observation | None]:

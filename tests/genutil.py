@@ -130,21 +130,12 @@ def reference_flanks(rules: Sequence[Rule], obs: Observation) -> tuple[set[int],
     return argmins(lower), argmins(upper)
 
 
-def reference_khstab(
-    rb: RuleBase, obs: Observation, exponent: float = 1.0
-) -> tuple[float, ...]:
-    """KHstab as a loop over the rules, with weights ``1 / d**exponent``.
+def reference_khstab(rb: RuleBase, obs: Observation) -> tuple[float, ...]:
+    """KHstab as a loop over the rules, with weights ``1 / d``.
 
-    For an integral exponent the weighted mean is summed in exact rational
-    arithmetic and rounded once, so no weight underflows or overflows; a
-    fractional exponent takes ``d**exponent`` in floating point, which stays
-    in range for every positive finite ``d`` when the exponent is below 1.
+    The weighted mean is summed in exact rational arithmetic and rounded
+    once, so no weight underflows or overflows.
     """
-    def inverse_power(dist: float) -> Fraction:
-        if float(exponent).is_integer():
-            return 1 / Fraction(dist) ** int(exponent)
-        return 1 / Fraction(dist**exponent)
-
     values = []
     for j in range(4):
         dists = [
@@ -158,7 +149,7 @@ def reference_khstab(
                 sum(rb.rules[idx].consequent.points()[j] for idx in exact) / len(exact)
             )
             continue
-        weights = [inverse_power(dist) for dist in dists]
+        weights = [1 / Fraction(dist) for dist in dists]
         total = sum(weights)
         values.append(float(
             sum(w * Fraction(rule.consequent.points()[j]) for w, rule in zip(weights, rb.rules))

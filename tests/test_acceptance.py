@@ -162,7 +162,7 @@ def test_criterion_5_khstab_degeneracy():
         plain = kh_characteristic_points(
             case.rule_lower, case.rule_upper, case.observation
         )
-        stab = khstab_points(case.rule_base(), case.observation, exponent=1.0)
+        stab = khstab_points(case.rule_base(), case.observation)
         worst = max(
             worst,
             max(abs(a - b) for a, b in zip(plain.as_tuple(), stab.as_tuple())),

@@ -60,6 +60,24 @@ class TestBench:
         out = capsys.readouterr().out
         assert "agrees_with_verdict=yes" in out
 
+    def test_sweep_that_contradicts_the_verdict_fails_the_case(self, monkeypatch, capsys):
+        import fri_lab.benchmark as benchmark
+
+        real = benchmark.sweep_oracle
+        case3 = next(c for c in benchmark.builtin_cases() if c.case_id == 3)
+
+        def contradicting(r1, r2, obs, n_levels):
+            if obs == case3.observation:  # a NORMAL case, swept as inverted
+                return benchmark.SweepOracleResult(-1.0, 1.0, True, True, (1.0,))
+            return real(r1, r2, obs, n_levels)
+
+        monkeypatch.setattr(benchmark, "sweep_oracle", contradicting)
+        assert main(["bench", "--sweep", "11"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("agrees_with_verdict=NO") == 1
+        assert f"Case 3 ({case3.name}): FAIL" in out
+        assert "8/9 cases passed" in out
+
     def test_bad_case_number_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["bench", "--case", "10"])
@@ -74,6 +92,14 @@ class TestInterpolate:
         assert "conclusion points: (4.7, 5.7, 4.7, 6.608)" in out
         assert "ABNORMAL" in out
         assert "The length (Core) is (PROBLEM)" in out
+
+    def test_one_dimension_takes_the_kh_points_from_the_report(self, monkeypatch, capsys):
+        def unused(*args):
+            raise AssertionError("KH points computed twice")
+
+        monkeypatch.setattr(fri_lab.cli, "kh_characteristic_points", unused)
+        assert main(["interpolate", fixture(6)]) == 1
+        assert "conclusion points: (4.7, 5.7, 4.7, 6.608)" in capsys.readouterr().out
 
     def test_normal_case_exits_zero(self, capsys):
         code = main(["interpolate", fixture(2)])

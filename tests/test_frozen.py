@@ -30,8 +30,6 @@ from fri_lab import (
     extract_segment_params,
     full_report,
 )
-from fri_lab._frozen import field, frozen
-
 
 
 def flanked() -> tuple[Rule, Rule, Observation]:
@@ -275,34 +273,7 @@ def test_each_document_gets_its_own_metadata():
     assert first.metadata == {} and first.metadata is not second.metadata
 
 
-@frozen
-class Bag:
-    items: dict = field(default_factory=dict)
-
-
-@frozen
-class Tagged:
-    value: int
-    note: str = field(repr=False, compare=False)
-    size: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "size", self.value * 2)
-
-
-def test_default_factory_runs_once_per_instance():
-    first, second = Bag(), Bag()
-    assert first.items == {} and first.items is not second.items
-    given = {"a": 1}
-    assert Bag(given).items is given
-    assert "items" not in vars(Bag)
-
-
 def test_excluded_fields_stay_out_of_repr_and_equality():
-    assert repr(Tagged(1, "a")) == "Tagged(value=1, size=2)"
-    assert Tagged(1, "a") == Tagged(1, "b") and hash(Tagged(1, "a")) == hash((1, 2))
-    assert Tagged(1, "a") != Tagged(2, "a")
-
     base = RuleBase((UPPER, LOWER))
     assert "_chain" not in repr(base) and base._chain == (LOWER, UPPER)
     assert base == RuleBase((UPPER, LOWER))

@@ -262,14 +262,14 @@ class TestKhStab:
                 rule1d((6, 7, 8, 9), (6.5, 7.5, 7.5, 9)),
             )
         )
-        points = khstab_points(rb, obs1d((4.2, 5.2, 5.2, 6.7)), exponent=1.0)
+        points = khstab_points(rb, obs1d((4.2, 5.2, 5.2, 6.7)))
         assert points.as_tuple() == pytest.approx((4.7, 5.7, 4.7, 6.608), abs=1e-9)
 
     def test_matches_reference_row_for_all_segment_inversion(self):
         rb = RuleBase(
             (rule1d((2, 2, 2.5, 3), (2, 2, 2, 2)), rule1d((6, 7.5, 8, 8), (8, 8, 8, 8)))
         )
-        points = khstab_points(rb, obs1d((5, 5, 5, 5)), exponent=1.0)
+        points = khstab_points(rb, obs1d((5, 5, 5, 5)))
         assert points.as_tuple() == pytest.approx(
             (6.5, 29 / 5.5, 26 / 5.5, 4.4), abs=1e-9
         )
@@ -288,14 +288,17 @@ class TestKhStab:
         assert points.y1 == 0.0
         assert points.y2 != 0.0
 
-    def test_exponent_must_be_positive(self):
-        rb = RuleBase((rule1d((1, 2, 3, 4), (1, 2, 3, 4)),))
-        with pytest.raises(DomainError):
-            khstab_points(rb, obs1d((5, 6, 7, 8)), exponent=0.0)
+    def test_touched_consequent_point_is_taken_as_is(self):
+        rb = RuleBase(
+            (rule1d((1, 2, 3, 4), (-0.0, 0.5, 1, 1)), rule1d((6, 7, 8, 9), (10, 10, 10, 10)))
+        )
+        points = khstab_points(rb, obs1d((1, 5, 5, 5.5)))
+        assert math.copysign(1.0, points.y1) == -1.0
 
     def test_weights_do_not_overflow_at_huge_coordinates(self):
-        # 1/d**2 overflows at d near 1e200; weights relative to the nearest
-        # rule do not, and they are unchanged by scaling every antecedent
+        # 1/d overflows for d below 2**-1024 and is subnormal above 2**1022;
+        # weights relative to the nearest rule do neither, and they are
+        # unchanged by scaling every antecedent
         def base(scale):
             return RuleBase(
                 tuple(
@@ -311,9 +314,10 @@ class TestKhStab:
         def observe(scale):
             return Observation((TrapezoidSet(*(scale * x for x in (4.5, 5, 5, 5.5))),) * 2)
 
-        huge = khstab_points(base(1e200), observe(1e200), exponent=2.0)
-        plain = khstab_points(base(1.0), observe(1.0), exponent=2.0)
-        assert huge.as_tuple() == pytest.approx(plain.as_tuple(), rel=1e-12)
+        plain = khstab_points(base(1.0), observe(1.0))
+        for scale in (math.ldexp(1.0, 1018), math.ldexp(1.0, -1030)):
+            scaled = khstab_points(base(scale), observe(scale))
+            assert scaled.as_tuple() == pytest.approx(plain.as_tuple(), rel=1e-12)
 
     def test_weighted_sum_does_not_overflow_at_huge_consequents(self):
         # three weighted consequent points near 2**1023 sum past the largest
@@ -326,10 +330,9 @@ class TestKhStab:
             ))
 
         obs = obs1d((5, 6, 7, 8.5))
-        for exponent in (0.5, 1.0, 2.0):
-            huge = khstab_points(base(1021), obs, exponent).as_tuple()
-            plain = khstab_points(base(0), obs, exponent).as_tuple()
-            assert huge == tuple(math.ldexp(y, 1021) for y in plain)
+        huge = khstab_points(base(1021), obs).as_tuple()
+        plain = khstab_points(base(0), obs).as_tuple()
+        assert huge == tuple(math.ldexp(y, 1021) for y in plain)
 
     def test_point_cache_leaves_equality_hash_and_repr(self):
         def base():
@@ -349,7 +352,7 @@ class TestKhStab:
         for _ in range(200):
             lower, upper, obs = random_flanked_config(rng)
             kh = kh_characteristic_points(lower, upper, obs)
-            stab = khstab_points(RuleBase((lower, upper)), obs, exponent=1.0)
+            stab = khstab_points(RuleBase((lower, upper)), obs)
             for a, b in zip(kh.as_tuple(), stab.as_tuple()):
                 assert a == pytest.approx(b, abs=1e-9)
 

@@ -4,11 +4,13 @@ from pathlib import Path
 import pytest
 
 from fri_lab import (
+    FORMAT_VERSION,
     Observation,
     Rule,
+    RuleBaseDocument,
     TrapezoidSet,
     builtin_cases,
-    document_from_sets,
+    export_fixtures,
     fixture_document,
     fixture_filename,
     load_document,
@@ -121,7 +123,7 @@ class TestRoundTrip:
 
     def test_canonicalised_triangle_saves_as_four_points(self):
         rule = Rule((TrapezoidSet.from_points((1, 2, 3)),), TrapezoidSet.from_points((2,)))
-        doc = document_from_sets([rule], name="built")
+        doc = RuleBaseDocument(FORMAT_VERSION, 1, (rule,), metadata={"name": "built"})
         payload = json.loads(save_document(doc))
         assert payload["rules"][0]["antecedents"][0] == [1.0, 2.0, 2.0, 3.0]
         assert payload["rules"][0]["consequent"] == [2.0, 2.0, 2.0, 2.0]
@@ -131,7 +133,7 @@ class TestRoundTrip:
             (TrapezoidSet(0.1, 0.2, 0.30000000000000004, 1 / 3),),
             TrapezoidSet(1.1, 2.2, 3.3, 4.4),
         )
-        doc = document_from_sets([rule], observation=Observation((TrapezoidSet(5, 6, 7, 8),)))
+        doc = RuleBaseDocument(FORMAT_VERSION, 1, (rule,), Observation((TrapezoidSet(5, 6, 7, 8),)))
         again = load_document(save_document(doc))
         assert again.rules[0].antecedents[0].points() == rule.antecedents[0].points()
 
@@ -158,3 +160,9 @@ class TestShippedFixtures:
         path = FIXTURES / fixture_filename(case_id)
         data = path.read_bytes()
         assert save_document(load_document(data)) == data
+
+    def test_export_reproduces_the_shipped_files(self, tmp_path):
+        written = export_fixtures(tmp_path)
+        assert written == [tmp_path / fixture_filename(i) for i in range(1, 10)]
+        for path in written:
+            assert path.read_bytes() == (FIXTURES / path.name).read_bytes()
