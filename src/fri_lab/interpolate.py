@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterator
@@ -121,6 +121,20 @@ class RuleBase:
         shifts = [max(0, math.frexp(max(map(abs, c)))[1] + n_bits - 1024) for c in consequents]
         scaled = [tuple(math.ldexp(b, -shift) for b in c) for c, shift in zip(consequents, shifts)]
         return tuple(zip(rows, scaled, shifts))
+
+    @cached_property
+    def _chain_columns(self) -> tuple[tuple[float, ...], ...]:
+        """Per dimension ``d`` and characteristic point ``p``, in that order:
+        every chained rule's antecedent point ``p`` in dimension ``d``, in
+        chain order.
+
+        Strict precedence makes each column strictly increasing, so
+        :func:`select_flanking` bisects it. Only for rule bases with a
+        shared chain order. Built on the first selection rather than in the
+        constructor; not a field, so equality, hashing and ``repr`` ignore it.
+        """
+        return tuple(zip(*([x for s in rule.antecedents for x in s.points()]
+                           for rule in self._chain)))
 
 
 def _rule_precedes(a: Rule, b: Rule) -> bool:
@@ -240,7 +254,11 @@ def select_flanking(rb: RuleBase, obs: Observation) -> tuple[Rule, Rule]:
     dimension. When every dimension orders the rules alike, the candidates
     below the observation form a prefix of that chain and those above it a
     suffix, so the flanks are the rules adjacent to the observation in the
-    chain, found by binary search. Otherwise every rule is scanned and the
+    chain. Each of the rule base's cached columns (one per dimension and
+    characteristic point, strictly increasing along the chain) is bisected
+    at the observation's point: the rules below it in every column end at
+    the least ``bisect_left``, and the rules above it in every column start
+    at the greatest ``bisect_right``. Otherwise every rule is scanned and the
     candidate with the smallest summed support gap toward the observation
     wins. Raises :class:`NotFlanked` when either side is empty, since
     extrapolation is not supported.
@@ -251,7 +269,15 @@ def select_flanking(rb: RuleBase, obs: Observation) -> tuple[Rule, Rule]:
             f"dimension {obs.dimension}"
         )
     if rb._chain is not None:
-        return _bisect_flanking(rb._chain, obs)
+        columns = rb._chain_columns
+        observed = [x for s in obs.sets for x in s.points()]
+        lower_end = min(map(bisect_left, columns, observed))
+        if lower_end == 0:
+            raise NotFlanked(_NO_LOWER)
+        upper_start = max(map(bisect_right, columns, observed))
+        if upper_start == len(rb._chain):
+            raise NotFlanked(_NO_UPPER)
+        return (rb._chain[lower_end - 1], rb._chain[upper_start])
     lower_best: tuple[float, int] | None = None
     upper_best: tuple[float, int] | None = None
     for idx, rule in enumerate(rb.rules):
@@ -268,23 +294,6 @@ def select_flanking(rb: RuleBase, obs: Observation) -> tuple[Rule, Rule]:
     if upper_best is None:
         raise NotFlanked(_NO_UPPER)
     return (rb.rules[lower_best[1]], rb.rules[upper_best[1]])
-
-
-def _bisect_flanking(chain: tuple[Rule, ...], obs: Observation) -> tuple[Rule, Rule]:
-    def not_below(rule: Rule) -> bool:
-        return not all(map(precedes, rule.antecedents, obs.sets))
-
-    def above(rule: Rule) -> bool:
-        return all(map(precedes, obs.sets, rule.antecedents))
-
-    lower_end = bisect_left(chain, True, key=not_below)
-    if lower_end == 0:
-        raise NotFlanked(_NO_LOWER)
-    # no rule below the observation is also above it
-    upper_start = bisect_left(chain, True, lo=lower_end, key=above)
-    if upper_start == len(chain):
-        raise NotFlanked(_NO_UPPER)
-    return (chain[lower_end - 1], chain[upper_start])
 
 
 def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> ConclusionPoints:

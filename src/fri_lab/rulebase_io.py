@@ -112,7 +112,10 @@ def _as_number_list(value: Any, where: str) -> list[float]:
     for k, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ValidationError(f"{where}[{k}]: expected a number, got {item!r}")
-        v = float(item)
+        try:
+            v = float(item)
+        except OverflowError:  # an integer literal beyond the float range
+            v = math.inf
         if not math.isfinite(v):
             raise ValidationError(f"{where}[{k}]: value must be finite")
         out.append(v)
@@ -152,6 +155,8 @@ def load_document(data: bytes | str) -> RuleBaseDocument:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
         raise ParseError("document is nested too deeply") from exc
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise ParseError("an integer literal has too many digits") from exc
 
     if not isinstance(raw, dict):
         raise ValidationError("top level must be an object")

@@ -78,6 +78,27 @@ class TestBench:
         assert f"Case 3 ({case3.name}): FAIL" in out
         assert "8/9 cases passed" in out
 
+    def test_failed_reference_row_fails_the_case(self, monkeypatch, capsys):
+        import fri_lab.benchmark as benchmark
+
+        real = benchmark.khstab_points
+        case7 = next(c for c in benchmark.builtin_cases() if c.case_id == 7)
+
+        def off_by_one(rb, obs):
+            points = real(rb, obs)
+            if obs == case7.observation:
+                return type(points)(*(y + 1.0 for y in points.as_tuple()))
+            return points
+
+        monkeypatch.setattr(benchmark, "khstab_points", off_by_one)
+        assert main(["bench"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 2
+        assert f"Case 7 ({case7.name}): FAIL" in out
+        assert "8/9 cases passed" in out
+        reference = next(l for l in out.splitlines() if "reference KHstab" in l and "FAIL" in l)
+        assert "computed (6.2778, 5.4, 6.6, 7)" in reference
+
     def test_bad_case_number_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["bench", "--case", "10"])
@@ -274,6 +295,29 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400], ids=["1e400", "401-digit-integer"])
+    def test_number_beyond_float_range_is_not_finite(self, tmp_path, capsys, literal):
+        text = Path(fixture(1)).read_text().replace("9.0", literal, 1)
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rules[1].antecedents[0][2]: value must be finite\n"
+
+    def test_integer_literal_with_too_many_digits_is_parse_error(self, tmp_path, capsys):
+        # longer than the interpreter converts to int (4300 digits by default)
+        text = Path(fixture(1)).read_text().replace("9.0", "1" + "0" * 5000, 1)
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert captured.err == "error: an integer literal has too many digits\n"
 
 
 class TestPlot:

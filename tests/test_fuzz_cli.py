@@ -2,7 +2,8 @@
 
 Each example takes one of the nine shipped fixtures, applies one to three
 mutations (a dropped or duplicated key, a wrong type, reordered points, a
-shifted set, extreme magnitudes, deep nesting, mismatched dimensions), writes it out and
+shifted set, extreme magnitudes, an integer literal beyond float range,
+deep nesting, mismatched dimensions), writes it out and
 runs ``main()`` in process. Whatever the input, no exception may escape and
 the exit code must say what the output shows: 0 or 1 with a report (1 only
 with a PROBLEM verdict), or 2 with nothing on stdout and exactly one
@@ -76,7 +77,8 @@ def _number_lists(doc):
 
 
 KINDS = (
-    "drop", "duplicate", "retype", "reorder", "magnitude", "shift", "scale", "nest", "dimension"
+    "drop", "duplicate", "retype", "reorder", "magnitude", "bigint", "shift", "scale", "nest",
+    "dimension",
 )
 
 
@@ -112,6 +114,16 @@ def mutated(draw, doc, kind):
             path = draw(st.sampled_from(sets))
             values = _parent(doc, path)[path[-1]]
             values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(MAGNITUDES))
+    elif kind == "bigint":
+        # an integer literal too large for a float; at 5000 digits also longer
+        # than the interpreter converts to int, so it is written as text
+        sets = _number_lists(doc)
+        if sets:
+            path = draw(st.sampled_from(sets))
+            values = _parent(doc, path)[path[-1]]
+            values[draw(st.integers(0, len(values) - 1))] = "\0"
+            literal = draw(st.sampled_from(("", "-"))) + "9" * draw(st.sampled_from((310, 400, 5000)))
+            return json.dumps(doc).replace(json.dumps("\0"), literal, 1)
     elif kind == "shift":
         # one set moved whole stays valid, but may leave the observation
         # unflanked or two rules out of order
@@ -156,7 +168,7 @@ def documents(draw):
     text = json.dumps(draw(st.sampled_from(DOCS)))
     for kind in draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3)):
         text = draw(mutated(json.loads(text), kind))
-        if kind == "nest":  # the parser may not read it back
+        if kind in ("nest", "bigint"):  # the parser may not read it back
             break
     return text
 

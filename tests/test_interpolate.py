@@ -341,8 +341,12 @@ class TestKhStab:
             )
 
         cached, fresh = base(), base()
-        khstab_points(cached, obs1d((4.5, 5, 5, 5.5)))
-        assert "_point_rows" in vars(cached) and "_point_rows" not in vars(fresh)
+        observation = obs1d((4.5, 5, 5, 5.5))
+        khstab_points(cached, observation)
+        select_flanking(cached, observation)
+        for view in ("_point_rows", "_chain_columns"):
+            assert view in vars(cached) and view not in vars(fresh)
+        assert cached._chain_columns == ((1, 6), (2, 7), (3, 8), (4, 9))
         assert cached == fresh
         assert hash(cached) == hash(fresh)
         assert repr(cached) == repr(fresh)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -246,6 +247,38 @@ def test_selection_matches_reference_on_shared_order_chains(case):
     lambda k: rule_bases(k, INT_GRID, shared=False)))
 def test_selection_matches_reference_when_dimensions_order_rules_differently(case):
     check_selection_against_reference(*case)
+
+
+# An observation that touches a chained rule at one to three of its four
+# points is neither below nor above that rule, so the flanks are the rules
+# around it: selection must bisect each column to the left of a tie on the
+# lower side and to the right of it on the upper side. Each pattern moves
+# the touched rule's points by -0.5, 0 or 0.5, which keeps them
+# non-decreasing, since the chains' points are at least 1 apart.
+TOUCH_PATTERNS = [p for p in itertools.product((-0.5, 0.0, 0.5), repeat=4)
+                  if 1 <= p.count(0.0) <= 3]
+
+
+def _moved(s, offsets):
+    return TrapezoidSet(*(a + delta for a, delta in zip(s.points(), offsets)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("touched", range(4))
+def test_selection_steps_over_a_touched_rule(k, touched):
+    # dimension d is dimension 0 scaled by d + 1 and shifted by 100 * d
+    columns = [[TrapezoidSet(*((10.0 * i + j) * (d + 1) + 100.0 * d for j in range(4)))
+                for i in range(4)] for d in range(k)]
+    rules = [Rule(tuple(col[i] for col in columns), TrapezoidSet(i, i, i, i)) for i in range(4)]
+    for pattern, where, touch_dim in itertools.product(
+        TOUCH_PATTERNS, ("same", "exact", "below", "above"), range(k)
+    ):
+        # the other dimensions touch the same rule alike or at all four
+        # points, or put the observation in the gap below or above it
+        offsets = {"same": pattern, "exact": (0.0,) * 4, "below": (-4.0,) * 4, "above": (4.0,) * 4}
+        sets = [_moved(col[touched], pattern if d == touch_dim else offsets[where])
+                for d, col in enumerate(columns)]
+        check_selection_against_reference(rules, Observation(tuple(sets)))
 
 
 # KHstab against the per-rule loop it replaced. Strict precedence gives
