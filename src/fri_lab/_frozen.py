@@ -5,14 +5,15 @@ class a keyword-capable ``__init__`` (which calls ``__post_init__`` when the
 class defines one), a ``Name(field=value, ...)`` repr, ``__eq__`` over the
 field tuple between instances of the same class, a matching ``__hash__``,
 and assignment and deletion that raise :class:`AttributeError`. Post-init
-code sets derived fields with ``object.__setattr__``.
+code sets derived attributes, which are not fields, with
+``object.__setattr__``.
 
 Only ``__init__`` is generated as source and compiled, once per class, so
 that building an instance runs straight-line code; the other methods are
 closures over the field names, because compiling them as well would more
 than double the time it takes to build each class. Supported is only what
-this package's classes use: plain defaults and ``field(init=False)``.
-Base classes, ``__slots__`` and ordering are not.
+this package's classes use: plain defaults. Base classes, ``__slots__`` and
+ordering are not.
 """
 from __future__ import annotations
 
@@ -20,20 +21,6 @@ from operator import attrgetter
 from typing import Any, Callable
 
 _MISSING = object()
-
-
-class field:
-    """A field left out of ``__init__``: ``x: int = field(init=False)``.
-
-    ``__post_init__`` must set it. It still takes part in the repr, ``==``
-    and the hash; an attribute that should not is set in ``__post_init__``
-    without an annotation.
-    """
-
-    __slots__ = ("init",)
-
-    def __init__(self, *, init: bool = True) -> None:
-        self.init = init
 
 
 def _setattr(self: object, name: str, value: object) -> None:
@@ -56,11 +43,6 @@ def frozen(cls: type) -> type:
     names, params, body = list(cls.__annotations__), [], []
     for name in names:
         default = cls.__dict__.get(name, _MISSING)
-        if isinstance(default, field):
-            delattr(cls, name)
-            if not default.init:
-                continue
-            default = _MISSING
         if default is _MISSING:
             params.append(name)
         else:

@@ -21,7 +21,7 @@ from .interpolate import (
     kh_characteristic_points,
     khstab_points,
 )
-from .normality import CaseTag, ConditionPath, Segment, Verdict, full_report
+from .normality import CaseTag, ConditionPath, NormalityReport, Segment, Verdict, full_report
 from .sets import TrapezoidSet
 
 __all__ = [
@@ -106,13 +106,20 @@ class CheckResult:
 
 @frozen
 class CaseReport:
+    """One case's checks, the normality report they read and its reference rows."""
+
     case_id: int
     name: str
     checks: tuple[CheckResult, ...]
+    report: NormalityReport
+    references: tuple[ReferenceComparison, ...]
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        # a KH or KHstab reference row that does not match fails the case
+        return all(c.passed for c in self.checks) and all(
+            r.passed is not False for r in self.references
+        )
 
     @property
     def failures(self) -> tuple[CheckResult, ...]:
@@ -416,7 +423,8 @@ def _label_check(
 
 
 def run_case(case: BenchmarkCase) -> CaseReport:
-    """Compare one case's computed results against its stored expectations."""
+    """Compare one case's computed results against its stored expectations
+    and its reference rows."""
     report = full_report(case.rule_lower, case.rule_upper, case.observation)
     points = report.points
     checks: list[CheckResult] = []
@@ -434,8 +442,8 @@ def run_case(case: BenchmarkCase) -> CaseReport:
 
     for seg in Segment:
         expected = case.expected_segments[seg]
-        lend = report.length_for(seg)
-        rato = report.ratio_for(seg)
+        lend = report.lengths[seg]
+        rato = report.ratios[seg]
         checks.append(_num_check("length1", seg, lend.length1, expected.length1, PRINTED_TOL))
         checks.append(_num_check("length2", seg, lend.length2, expected.length2, PRINTED_TOL))
         checks.append(_label_check("path", seg, lend.path.value, expected.path.value))
@@ -455,7 +463,7 @@ def run_case(case: BenchmarkCase) -> CaseReport:
     computed_tags = ",".join(sorted(t.value for t in report.tags))
     expected_tags = ",".join(sorted(t.value for t in case.expected_tags))
     checks.append(_label_check("case_tags", None, computed_tags, expected_tags))
-    return CaseReport(case.case_id, case.name, tuple(checks))
+    return CaseReport(case.case_id, case.name, tuple(checks), report, compare_reference(case))
 
 
 def run_all() -> BenchmarkReport:

@@ -27,9 +27,7 @@ _EXIT_BROKEN_PIPE = 141
 _VERDICT_HEADERS = {Segment.LTB: "LFBound", Segment.CORE: "Core", Segment.RTB: "RFBound"}
 
 
-def _fmt(value: float | str, decimals: int) -> str:
-    if isinstance(value, str):
-        return value
+def _fmt(value: float, decimals: int) -> str:
     return f"{round(value, decimals):g}"
 
 
@@ -38,18 +36,15 @@ def _fmt_points(points, decimals: int) -> str:
 
 
 def _print_verdict_block(report, decimals: int) -> None:
-    for seg in Segment:
-        verdict = report.length_for(seg).verdict
-        print(f"The length ({_VERDICT_HEADERS[seg]}) is ({verdict.value})")
-    for seg in Segment:
-        diag = report.length_for(seg)
+    for seg, diag in report.lengths.items():
+        print(f"The length ({_VERDICT_HEADERS[seg]}) is ({diag.verdict.value})")
+    for seg, diag in report.lengths.items():
         op = "<=" if diag.verdict is Verdict.NORMAL else ">"
         print(
             f"{seg.name}: {diag.path.value}, {_fmt(diag.length1, decimals)} {op} "
             f"{_fmt(diag.length2, decimals)}, {diag.verdict.value}"
         )
-    for seg in Segment:
-        diag = report.ratio_for(seg)
+    for seg, diag in report.ratios.items():
         if diag.verdict is Verdict.UNDEFINED:
             print(f"{seg.name} ratio: UNDEFINED (zero denominator)")
         else:
@@ -64,39 +59,35 @@ def _print_verdict_block(report, decimals: int) -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .benchmark import builtin_cases, compare_reference, run_case, sweep_oracle
+    from .benchmark import builtin_cases, run_case, sweep_oracle
 
     cases = builtin_cases()
     if args.case is not None:
         cases = tuple(c for c in cases if c.case_id == args.case)
-    reports = [run_case(c) for c in cases]
+    results = [run_case(c) for c in cases]
     rows = []
     n_passed = 0
-    for case, report in zip(cases, reports):
+    for case, result in zip(cases, results):
+        report = result.report
+        passed = result.passed
         oracle = None
-        references = compare_reference(case)
-        # a KH or KHstab reference row that does not match fails the case
-        passed = report.passed and all(ref.passed is not False for ref in references)
-        if args.sweep:
+        if args.sweep is not None:
             oracle = sweep_oracle(
                 case.rule_lower, case.rule_upper, case.observation, n_levels=args.sweep
             )
-            overall = next(c for c in report.checks if c.name == "overall")
-            agrees = oracle.abnormal == (overall.computed == Verdict.PROBLEM.value)
+            agrees = oracle.abnormal == (report.overall is Verdict.PROBLEM)
             # a sweep that contradicts the verdict fails the case
             passed = passed and agrees
         n_passed += passed
         print(f"Case {case.case_id} ({case.name}): {'pass' if passed else 'FAIL'}")
-        point_checks = [c for c in report.checks if c.name.startswith("point_y")]
-        computed = tuple(c.computed for c in point_checks)
-        expected = tuple(c.expected for c in point_checks)
-        dev = max(c.deviation for c in point_checks)
+        computed = report.points.as_tuple()
+        dev = max(abs(c - e) for c, e in zip(computed, case.expected_points))
         print(
             f"  points computed={_fmt_points(computed, args.decimals)} "
-            f"expected={_fmt_points(expected, args.decimals)} "
+            f"expected={_fmt_points(case.expected_points, args.decimals)} "
             f"max|dev|={_fmt(dev, args.decimals)}"
         )
-        for check in report.checks:
+        for check in result.checks:
             seg = check.segment.name if check.segment is not None else "-"
             rows.append(
                 (
@@ -114,14 +105,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"  MISMATCH {seg}/{check.name}: computed={check.computed} "
                     f"expected={check.expected}"
                 )
-        for seg in Segment:
-            named = {c.name: c for c in report.checks if c.segment is seg}
+        for seg, diag in report.lengths.items():
             print(
-                f"  {seg.name:4} {named['path'].computed:15} "
-                f"lengths ({_fmt(named['length1'].computed, args.decimals)}, "
-                f"{_fmt(named['length2'].computed, args.decimals)}) "
-                f"verdict {named['length_verdict'].computed} "
-                f"(expected {named['length_verdict'].expected})"
+                f"  {seg.name:4} {diag.path.value:15} "
+                f"lengths ({_fmt(diag.length1, args.decimals)}, "
+                f"{_fmt(diag.length2, args.decimals)}) "
+                f"verdict {diag.verdict.value} "
+                f"(expected {case.expected_segments[seg].verdict.value})"
             )
         if oracle is not None:
             print(
@@ -131,7 +121,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"abnormal={'yes' if oracle.abnormal else 'no'}, "
                 f"agrees_with_verdict={'yes' if agrees else 'NO'}"
             )
-        for ref in references:
+        for ref in result.references:
             if ref.computed_points is None:
                 shown = ref.note or _fmt_points(ref.expected_points, args.decimals)
                 print(f"  reference {ref.method}: {ref.label} {shown} (reference only)")
@@ -142,7 +132,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"computed {_fmt_points(ref.computed_points, args.decimals)} "
                     f"{'pass' if ref.passed else 'FAIL'}"
                 )
-    print(f"{n_passed}/{len(reports)} cases passed")
+    print(f"{n_passed}/{len(results)} cases passed")
     if args.csv:
         import csv
 
@@ -153,7 +143,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             writer.writerows(rows)
         print(f"wrote {len(rows)} rows to {args.csv}")
-    return 0 if n_passed == len(reports) else 1
+    return 0 if n_passed == len(results) else 1
 
 
 def _flanked_document(path: str, one_dimension_only: str | None = None):
@@ -185,7 +175,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         else:
             points = kh_characteristic_points(lower, upper, observation)
     oracle = None
-    if args.sweep:
+    if args.sweep is not None:
         from .benchmark import sweep_oracle
 
         oracle = sweep_oracle(lower, upper, observation, n_levels=args.sweep)

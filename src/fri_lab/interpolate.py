@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterator
 
-from ._frozen import field, frozen
+from ._frozen import frozen
 from .errors import DimensionError, DomainError, NotFlanked, OrderingViolation, ZeroSpan
 from .sets import GradedPointList, TrapezoidSet, precedes
 
@@ -79,7 +79,6 @@ class RuleBase:
     """A sparse rule base whose antecedents form a chain in every dimension."""
 
     rules: tuple[Rule, ...]
-    dimension: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -91,6 +90,7 @@ class RuleBase:
                 raise DimensionError(
                     f"rule {idx} has dimension {rule.dimension}, expected {k}"
                 )
+        # the rules fix it, so it is not a field: equality, hashing and repr ignore it
         object.__setattr__(self, "dimension", k)
         # the rules in chain order when every dimension orders them alike,
         # else None; not a field, so equality, hashing and repr ignore it

@@ -10,7 +10,7 @@ conditions and with the direct monotonicity of the interpolated points.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ._frozen import frozen
 from .errors import DimensionError
@@ -82,7 +82,6 @@ class SegmentParams:
     the antecedents directly, so touching antecedents give exactly zero.
     """
 
-    segment: Segment
     ka1: float
     ka2: float
     kb1: float
@@ -104,7 +103,6 @@ class SegmentParams:
 
 @frozen
 class LengthDiagnostics:
-    segment: Segment
     path: ConditionPath
     length1: float
     length2: float
@@ -113,7 +111,6 @@ class LengthDiagnostics:
 
 @frozen
 class RatioDiagnostics:
-    segment: Segment
     ratio1: float | None
     ratio2: float | None
     verdict: Verdict
@@ -121,50 +118,43 @@ class RatioDiagnostics:
 
 @frozen
 class NormalityReport:
-    """All diagnostics for one flanked configuration."""
+    """All diagnostics for one flanked configuration, keyed by segment."""
 
     points: ConclusionPoints
-    lengths: tuple[LengthDiagnostics, LengthDiagnostics, LengthDiagnostics]
-    ratios: tuple[RatioDiagnostics, RatioDiagnostics, RatioDiagnostics]
+    lengths: Mapping[Segment, LengthDiagnostics]
+    ratios: Mapping[Segment, RatioDiagnostics]
     direct: Mapping[Segment, Verdict]
     tags: frozenset[CaseTag]
     overall: Verdict
 
-    def length_for(self, segment: Segment) -> LengthDiagnostics:
-        return self.lengths[list(Segment).index(segment)]
 
-    def ratio_for(self, segment: Segment) -> RatioDiagnostics:
-        return self.ratios[list(Segment).index(segment)]
-
-
-def extract_segment_params(
-    r1: Rule, r2: Rule, obs: Observation, seg: Segment
-) -> SegmentParams:
-    """Read the length parameters of one segment off a 1-d configuration.
+def extract_segment_params(r1: Rule, r2: Rule, obs: Observation) -> dict[Segment, SegmentParams]:
+    """Read the length parameters of every segment off a 1-d configuration.
 
     This is the only function of the diagnostics that reads rule or
     observation points; every condition is a function of its result.
     """
     if r1.dimension != 1 or r2.dimension != 1 or obs.dimension != 1:
         raise DimensionError("segment diagnostics are defined for one input dimension")
-    i, j = _SEGMENT_INDICES[seg]
     a1 = r1.antecedents[0].points()
     a2 = r2.antecedents[0].points()
     b1 = r1.consequent.points()
     b2 = r2.consequent.points()
     x = obs.sets[0].points()
-    return SegmentParams(
-        segment=seg,
-        ka1=a1[j] - a1[i],
-        ka2=a2[j] - a2[i],
-        kb1=b1[j] - b1[i],
-        kb2=b2[j] - b2[i],
-        kastar=x[j] - x[i],
-        da1=x[i] - a1[j],
-        da2=a2[i] - x[j],
-        da_gap=a2[i] - a1[j],
-        db=b2[i] - b1[j],
-    )
+    return {
+        seg: SegmentParams(
+            ka1=a1[j] - a1[i],
+            ka2=a2[j] - a2[i],
+            kb1=b1[j] - b1[i],
+            kb2=b2[j] - b2[i],
+            kastar=x[j] - x[i],
+            da1=x[i] - a1[j],
+            da2=a2[i] - x[j],
+            da_gap=a2[i] - a1[j],
+            db=b2[i] - b1[j],
+        )
+        for seg, (i, j) in _SEGMENT_INDICES.items()
+    }
 
 
 def length_condition(p: SegmentParams) -> LengthDiagnostics:
@@ -195,7 +185,7 @@ def length_condition(p: SegmentParams) -> LengthDiagnostics:
             p.ka2 + p.da2
         ) * (p.da2 + p.kastar) * p.kb1
     verdict = Verdict.NORMAL if length1 <= length2 + TOL else Verdict.PROBLEM
-    return LengthDiagnostics(p.segment, path, length1, length2, verdict)
+    return LengthDiagnostics(path, length1, length2, verdict)
 
 
 def ratio_condition(p: SegmentParams) -> RatioDiagnostics:
@@ -208,14 +198,14 @@ def ratio_condition(p: SegmentParams) -> RatioDiagnostics:
     """
     den2 = p.da1 + p.da2
     if p.da_gap == 0.0 or den2 == 0.0:
-        return RatioDiagnostics(p.segment, None, None, Verdict.UNDEFINED)
+        return RatioDiagnostics(None, None, Verdict.UNDEFINED)
     ratio1 = p.db / p.da_gap
     ratio2 = p.da_gap / den2
     verdict = Verdict.NORMAL if ratio1 <= ratio2 + TOL else Verdict.PROBLEM
-    return RatioDiagnostics(p.segment, ratio1, ratio2, verdict)
+    return RatioDiagnostics(ratio1, ratio2, verdict)
 
 
-def classify_case(params: Sequence[SegmentParams]) -> frozenset[CaseTag]:
+def classify_case(params: Mapping[Segment, SegmentParams]) -> frozenset[CaseTag]:
     """Tag a configuration, given its three segments' parameters, with the
     scenario hypotheses it satisfies.
 
@@ -226,16 +216,17 @@ def classify_case(params: Sequence[SegmentParams]) -> frozenset[CaseTag]:
     share a nonzero core length. An empty set means no hypothesis holds.
     """
     tags = set()
-    uniform_a = all(p.uniform_a for p in params)
-    uniform_b = all(p.uniform_b for p in params)
-    if uniform_a and all(p.kastar >= p.ka1 - TOL for p in params):
+    segments = params.values()
+    uniform_a = all(p.uniform_a for p in segments)
+    uniform_b = all(p.uniform_b for p in segments)
+    if uniform_a and all(p.kastar >= p.ka1 - TOL for p in segments):
         tags.add(CaseTag.CASE1)
     if uniform_a and uniform_b:
-        if all(abs(p.ka1 - p.kb1) <= TOL for p in params):
+        if all(abs(p.ka1 - p.kb1) <= TOL for p in segments):
             tags.add(CaseTag.CASE2)
-        elif all(p.kb1 > p.ka1 + TOL for p in params):
+        elif all(p.kb1 > p.ka1 + TOL for p in segments):
             tags.add(CaseTag.CASE3)
-    core = next(p for p in params if p.segment is Segment.CORE)
+    core = params[Segment.CORE]
     if core.uniform_a and core.uniform_b and core.ka1 > TOL and core.kb1 > TOL:
         tags.add(CaseTag.COROLLARY4)
     return frozenset(tags)
@@ -258,18 +249,18 @@ def full_report(r1: Rule, r2: Rule, obs: Observation) -> NormalityReport:
     length-condition verdicts; the direct point-order verdicts are attached
     for cross-checking.
     """
-    params = tuple(extract_segment_params(r1, r2, obs, seg) for seg in Segment)
+    params = extract_segment_params(r1, r2, obs)
     points = kh_characteristic_points(r1, r2, obs)
-    lengths = tuple(length_condition(p) for p in params)
+    lengths = {seg: length_condition(p) for seg, p in params.items()}
     overall = (
         Verdict.NORMAL
-        if all(d.verdict is Verdict.NORMAL for d in lengths)
+        if all(d.verdict is Verdict.NORMAL for d in lengths.values())
         else Verdict.PROBLEM
     )
     return NormalityReport(
         points=points,
-        lengths=lengths,  # type: ignore[arg-type]
-        ratios=tuple(ratio_condition(p) for p in params),  # type: ignore[arg-type]
+        lengths=lengths,
+        ratios={seg: ratio_condition(p) for seg, p in params.items()},
         direct=direct_normality(points),
         tags=classify_case(params),
         overall=overall,

@@ -74,7 +74,7 @@ def test_criterion_2_verdict_reproduction():
         report = full_report(case.rule_lower, case.rule_upper, case.observation)
         for seg in Segment:
             expected = case.expected_segments[seg].verdict
-            if report.length_for(seg).verdict is not expected:
+            if report.lengths[seg].verdict is not expected:
                 mismatches.append((case.case_id, seg.name))
         if report.overall is not case.expected_overall:
             mismatches.append((case.case_id, "overall"))
@@ -95,7 +95,7 @@ def test_criterion_3_diagnostic_reproduction():
             expected = case.expected_segments[seg]
             diag = length_condition(
                 extract_segment_params(case.rule_lower, case.rule_upper,
-                                       case.observation, seg)
+                                       case.observation)[seg]
             )
             worst = max(worst, abs(diag.length1 - expected.length1),
                         abs(diag.length2 - expected.length2))
@@ -115,7 +115,7 @@ def test_criterion_3_diagnostic_reproduction():
         case = next(c for c in builtin_cases() if c.case_id == case_id)
         diag = length_condition(
             extract_segment_params(case.rule_lower, case.rule_upper,
-                                   case.observation, seg)
+                                   case.observation)[seg]
         )
         worst = max(worst, abs(diag.length1 - l1), abs(diag.length2 - l2))
     ok = worst <= PRINTED_TOL and not path_errors
@@ -135,7 +135,7 @@ def test_criterion_4_ratio_reproduction():
         for seg in Segment:
             expected = case.expected_segments[seg]
             diag = ratio_condition(extract_segment_params(
-                case.rule_lower, case.rule_upper, case.observation, seg))
+                case.rule_lower, case.rule_upper, case.observation)[seg])
             worst = max(worst, abs(diag.ratio1 - expected.ratio1),
                         abs(diag.ratio2 - expected.ratio2))
     spots = {
@@ -146,7 +146,7 @@ def test_criterion_4_ratio_reproduction():
     for (case_id, seg), (r1, r2) in spots.items():
         case = next(c for c in builtin_cases() if c.case_id == case_id)
         diag = ratio_condition(extract_segment_params(
-            case.rule_lower, case.rule_upper, case.observation, seg))
+            case.rule_lower, case.rule_upper, case.observation)[seg])
         worst = max(worst, abs(diag.ratio1 - r1), abs(diag.ratio2 - r2))
     _report(
         4,
@@ -177,15 +177,15 @@ def test_criterion_5_khstab_degeneracy():
 
 def _overall(lower, upper, obs) -> Verdict:
     verdicts = [
-        length_condition(extract_segment_params(lower, upper, obs, seg)).verdict
-        for seg in Segment
+        length_condition(p).verdict
+        for p in extract_segment_params(lower, upper, obs).values()
     ]
     return Verdict.NORMAL if all(v is Verdict.NORMAL for v in verdicts) else Verdict.PROBLEM
 
 
 def _ratio_all_normal(lower, upper, obs) -> bool:
-    for seg in Segment:
-        diag = ratio_condition(extract_segment_params(lower, upper, obs, seg))
+    for p in extract_segment_params(lower, upper, obs).values():
+        diag = ratio_condition(p)
         if diag.verdict is not Verdict.NORMAL:
             return False
     return True
@@ -218,10 +218,8 @@ def test_criterion_6_property_suites():
         lower, upper, obs = random_uniform_config(rng)
         points = kh_characteristic_points(lower, upper, obs)
         direct = direct_normality(points)
-        for seg in Segment:
-            verdict = length_condition(
-                extract_segment_params(lower, upper, obs, seg)
-            ).verdict
+        for seg, p in extract_segment_params(lower, upper, obs).items():
+            verdict = length_condition(p).verdict
             if verdict is not direct[seg]:
                 failures.append("uniform-exactness")
                 break
@@ -345,10 +343,8 @@ def test_criterion_7_oracle_agreement(tmp_path):
         lower, upper, obs = random_uniform_config(rng)
         points = kh_characteristic_points(lower, upper, obs)
         direct = direct_normality(points)
-        for seg in Segment:
-            verdict = length_condition(
-                extract_segment_params(lower, upper, obs, seg)
-            ).verdict
+        for seg, p in extract_segment_params(lower, upper, obs).items():
+            verdict = length_condition(p).verdict
             if verdict is not direct[seg]:
                 uniform_mismatches.append(
                     {
@@ -372,10 +368,8 @@ def test_criterion_7_oracle_agreement(tmp_path):
         lower, upper, obs = random_flanked_config(rng)
         points = kh_characteristic_points(lower, upper, obs)
         direct = direct_normality(points)
-        for seg in Segment:
-            verdict = length_condition(
-                extract_segment_params(lower, upper, obs, seg)
-            ).verdict
+        for seg, p in extract_segment_params(lower, upper, obs).items():
+            verdict = length_condition(p).verdict
             if verdict is direct[seg]:
                 continue
             record = {

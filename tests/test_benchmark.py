@@ -60,9 +60,15 @@ class TestRunCase:
         ]
 
     def test_case1_singleton_conclusion(self):
-        report = run_case(case(1))
-        points = [c.computed for c in report.checks if c.name.startswith("point_y")]
-        assert points == [5.0, 5.0, 5.0, 5.0]
+        report = run_case(case(1)).report
+        assert report.points.as_tuple() == (5.0, 5.0, 5.0, 5.0)
+
+    @pytest.mark.parametrize("case_id", range(1, 10))
+    def test_holds_the_report_and_reference_rows_it_checked(self, case_id):
+        c = case(case_id)
+        result = run_case(c)
+        assert result.report == full_report(c.rule_lower, c.rule_upper, c.observation)
+        assert result.references == compare_reference(c)
 
     def test_case7_verdict_pattern(self):
         c = case(7)
@@ -76,6 +82,28 @@ class TestRunAll:
         report = run_all()
         assert report.passed
         assert report.n_passed == report.n_cases == 9
+
+    def test_failed_reference_row_fails_the_case(self, monkeypatch):
+        # test_cli checks that the bench command fails case 7 on the same fault
+        import fri_lab.benchmark as benchmark
+
+        real = benchmark.khstab_points
+        case7 = case(7)
+
+        def off_by_one(rb, obs):
+            points = real(rb, obs)
+            if obs == case7.observation:
+                return type(points)(*(y + 1.0 for y in points.as_tuple()))
+            return points
+
+        monkeypatch.setattr(benchmark, "khstab_points", off_by_one)
+        result = run_case(case7)
+        assert result.passed is False
+        assert all(c.passed for c in result.checks)
+        assert [r.passed for r in result.references if r.method == "KHstab"] == [False]
+        report = run_all()
+        assert report.n_passed == 8 and not report.passed
+        assert [r.case_id for r in report.case_reports if not r.passed] == [7]
 
     def test_swapped_weights_fail_case5(self):
         # an engine attaching the near distance to the near consequent
@@ -98,7 +126,7 @@ class TestRunAll:
         # the general form evaluated on case 9's core parameters gives 16.5,
         # far from the published 3, although the verdict stays PROBLEM
         c = case(9)
-        p = extract_segment_params(c.rule_lower, c.rule_upper, c.observation, Segment.CORE)
+        p = extract_segment_params(c.rule_lower, c.rule_upper, c.observation)[Segment.CORE]
         general1 = p.db * (
             (p.ka1 + p.da1) * (p.ka2 + p.da2)
             - (p.kastar + p.da1) * (p.kastar + p.da2)

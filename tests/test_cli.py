@@ -54,6 +54,9 @@ class TestBench:
         ]
         assert len(case6_core) == 1
         assert float(case6_core[0]["computed"]) == pytest.approx(5.0)
+        # every row, byte for byte
+        golden = Path(__file__).resolve().parent / "bench_golden.csv"
+        assert target.read_bytes() == golden.read_bytes()
 
     def test_sweep_flag_reports_agreement(self, capsys):
         assert main(["bench", "--case", "7", "--sweep", "101"]) == 0
@@ -251,11 +254,16 @@ class TestInterpolate:
         assert outputs["khstab"][1] == outputs["kh"][1]
         assert "conclusion points: (1e+308, 1.1e+308, 1.2e+308, 1.3e+308)" in outputs["kh"][1]
 
-    def test_failed_sweep_prints_no_partial_report(self, capsys):
-        assert main(["interpolate", fixture(6), "--sweep", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: need at least 2 levels, got 1\n"
+
+@pytest.mark.parametrize("levels", [1, 0, -3])
+@pytest.mark.parametrize(
+    "command", [["interpolate", fixture(6)], ["bench"]], ids=["interpolate", "bench"]
+)
+def test_failed_sweep_prints_no_partial_report(capsys, command, levels):
+    assert main([*command, "--sweep", str(levels)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need at least 2 levels, got {levels}\n"
 
 
 class TestValidate:

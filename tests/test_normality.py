@@ -29,20 +29,20 @@ def triple(case_id):
     return c.rule_lower, c.rule_upper, c.observation
 
 
-def all_params(case_id):
-    return tuple(extract_segment_params(*triple(case_id), seg) for seg in Segment)
+def params(case_id, seg):
+    return extract_segment_params(*triple(case_id))[seg]
 
 
 class TestExtractSegmentParams:
     def test_left_boundary_of_case7(self):
-        p = extract_segment_params(*triple(7), Segment.LTB)
+        p = params(7, Segment.LTB)
         assert (p.ka1, p.ka2, p.kb1, p.kb2) == (1.5, 2.0, 1.0, 0.5)
         assert p.kastar == pytest.approx(0.4)
         assert (p.da1, p.da2, p.db) == pytest.approx((2.0, 0.6, 4.5))
         assert not p.uniform_a and not p.uniform_b
 
     def test_core_of_case3(self):
-        p = extract_segment_params(*triple(3), Segment.CORE)
+        p = params(3, Segment.CORE)
         assert (p.ka1, p.ka2, p.kb1, p.kb2) == (1.0, 1.0, 1.0, 1.0)
         assert p.kastar == pytest.approx(0.4)
         assert p.da1 == pytest.approx(1.8)
@@ -51,15 +51,19 @@ class TestExtractSegmentParams:
         assert p.uniform_a and p.uniform_b
 
     def test_right_boundary_of_case9(self):
-        p = extract_segment_params(*triple(9), Segment.RTB)
+        p = params(9, Segment.RTB)
         assert (p.ka1, p.ka2, p.kb1, p.kb2) == (0.5, 0.0, 0.0, 0.0)
         assert p.kastar == 0.0
         assert (p.da1, p.da2, p.db) == (2.0, 3.0, 6.0)
 
+    def test_every_segment_in_order(self):
+        assert list(extract_segment_params(*triple(1))) == list(Segment)
+        report = full_report(*triple(1))
+        assert list(report.lengths) == list(report.ratios) == list(report.direct) == list(Segment)
+
     def test_da_gap_identity(self):
         for case_id in range(1, 10):
-            for seg in Segment:
-                p = extract_segment_params(*triple(case_id), seg)
+            for p in extract_segment_params(*triple(case_id)).values():
                 assert p.da_gap == pytest.approx(p.da1 + p.kastar + p.da2, abs=1e-12)
 
     def test_requires_one_dimension(self):
@@ -69,60 +73,59 @@ class TestExtractSegmentParams:
             extract_segment_params(
                 two_d, two_d,
                 Observation((TrapezoidSet(4, 5, 6, 7), TrapezoidSet(4, 5, 6, 7))),
-                Segment.CORE,
             )
 
 
 class TestLengthCondition:
     def test_general_path_problem(self):
-        diag = length_condition(extract_segment_params(*triple(7), Segment.LTB))
+        diag = length_condition(params(7, Segment.LTB))
         assert diag.path is ConditionPath.GENERAL
         assert diag.length1 == pytest.approx(30.15)
         assert diag.length2 == pytest.approx(6.80)
         assert diag.verdict is Verdict.PROBLEM
 
     def test_general_path_normal_with_negative_length1(self):
-        diag = length_condition(extract_segment_params(*triple(6), Segment.RTB))
+        diag = length_condition(params(6, Segment.RTB))
         assert diag.path is ConditionPath.GENERAL
         assert diag.length1 == pytest.approx(-9.25)
         assert diag.length2 == pytest.approx(17.282)
         assert diag.verdict is Verdict.NORMAL
 
     def test_uniform_nonzero_path(self):
-        diag = length_condition(extract_segment_params(*triple(5), Segment.LTB))
+        diag = length_condition(params(5, Segment.LTB))
         assert diag.path is ConditionPath.UNIFORM_NONZERO
         assert diag.length1 == pytest.approx(-2.0)
         assert diag.length2 == pytest.approx(6.5)
         assert diag.verdict is Verdict.NORMAL
 
     def test_uniform_zero_path_problem(self):
-        diag = length_condition(extract_segment_params(*triple(9), Segment.CORE))
+        diag = length_condition(params(9, Segment.CORE))
         assert diag.path is ConditionPath.UNIFORM_ZERO
         assert diag.length1 == pytest.approx(3.0)
         assert diag.length2 == pytest.approx(0.0)
         assert diag.verdict is Verdict.PROBLEM
 
     def test_equality_counts_as_normal(self):
-        diag = length_condition(extract_segment_params(*triple(1), Segment.LTB))
+        diag = length_condition(params(1, Segment.LTB))
         assert diag.length1 == diag.length2 == 0.0
         assert diag.verdict is Verdict.NORMAL
 
 
 class TestRatioCondition:
     def test_core_problem_of_case6(self):
-        diag = ratio_condition(extract_segment_params(*triple(6), Segment.CORE))
+        diag = ratio_condition(params(6, Segment.CORE))
         assert diag.ratio1 == pytest.approx(1.25)
         assert diag.ratio2 == pytest.approx(1.0)
         assert diag.verdict is Verdict.PROBLEM
 
     def test_left_boundary_normal_of_case1(self):
-        diag = ratio_condition(extract_segment_params(*triple(1), Segment.LTB))
+        diag = ratio_condition(params(1, Segment.LTB))
         assert diag.ratio1 == pytest.approx(1.20)
         assert diag.ratio2 == pytest.approx(1.25)
         assert diag.verdict is Verdict.NORMAL
 
     def test_right_boundary_problem_of_case8(self):
-        diag = ratio_condition(extract_segment_params(*triple(8), Segment.RTB))
+        diag = ratio_condition(params(8, Segment.RTB))
         assert diag.ratio1 == pytest.approx(1.40625)
         assert diag.ratio2 == pytest.approx(1.142857, abs=1e-5)
         assert diag.verdict is Verdict.PROBLEM
@@ -140,7 +143,7 @@ class TestRatioCondition:
         r1 = Rule((TrapezoidSet(*lower),), TrapezoidSet(0, 1, 1, 2))
         r2 = Rule((TrapezoidSet(*upper),), TrapezoidSet(5, 6, 6, 7))
         obs = Observation((TrapezoidSet(*observed),))
-        p = extract_segment_params(r1, r2, obs, Segment.LTB)
+        p = extract_segment_params(r1, r2, obs)[Segment.LTB]
         assert p.da_gap == 0.0
         diag = ratio_condition(p)
         assert diag.verdict is Verdict.UNDEFINED
@@ -151,18 +154,18 @@ class TestRatioCondition:
 
 class TestClassifyCase:
     def test_case1(self):
-        assert classify_case(all_params(1)) == frozenset({CaseTag.CASE1})
+        assert classify_case(extract_segment_params(*triple(1))) == frozenset({CaseTag.CASE1})
 
     def test_case2_with_uniform_cores(self):
-        assert classify_case(all_params(3)) == frozenset(
+        assert classify_case(extract_segment_params(*triple(3))) == frozenset(
             {CaseTag.CASE2, CaseTag.COROLLARY4}
         )
 
     def test_no_hypothesis_for_core_inversion(self):
-        assert classify_case(all_params(6)) == frozenset()
+        assert classify_case(extract_segment_params(*triple(6))) == frozenset()
 
     def test_case3(self):
-        assert classify_case(all_params(4)) == frozenset({CaseTag.CASE3})
+        assert classify_case(extract_segment_params(*triple(4))) == frozenset({CaseTag.CASE3})
 
 
 class TestDirectNormality:
@@ -185,31 +188,31 @@ class TestFullReport:
     def test_all_normal_case(self):
         report = full_report(*triple(1))
         assert report.overall is Verdict.NORMAL
-        assert all(d.verdict is Verdict.NORMAL for d in report.lengths)
+        assert all(d.verdict is Verdict.NORMAL for d in report.lengths.values())
         assert report.tags == frozenset({CaseTag.CASE1})
 
     def test_core_problem_case(self):
         report = full_report(*triple(6))
         assert report.overall is Verdict.PROBLEM
-        assert report.length_for(Segment.CORE).verdict is Verdict.PROBLEM
-        assert report.length_for(Segment.LTB).verdict is Verdict.NORMAL
-        assert report.length_for(Segment.RTB).verdict is Verdict.NORMAL
+        assert report.lengths[Segment.CORE].verdict is Verdict.PROBLEM
+        assert report.lengths[Segment.LTB].verdict is Verdict.NORMAL
+        assert report.lengths[Segment.RTB].verdict is Verdict.NORMAL
 
     def test_everything_problem_case(self):
         report = full_report(*triple(9))
-        assert all(d.verdict is Verdict.PROBLEM for d in report.lengths)
+        assert all(d.verdict is Verdict.PROBLEM for d in report.lengths.values())
         assert report.overall is Verdict.PROBLEM
 
     def test_direct_and_length_verdicts_agree_on_benchmark(self):
         for case_id in range(1, 10):
             report = full_report(*triple(case_id))
             for seg in Segment:
-                assert report.length_for(seg).verdict is report.direct[seg]
+                assert report.lengths[seg].verdict is report.direct[seg]
 
     def test_ratio_agrees_with_length_when_defined_on_benchmark(self):
         for case_id in range(1, 10):
             report = full_report(*triple(case_id))
             for seg in Segment:
-                ratio = report.ratio_for(seg)
+                ratio = report.ratios[seg]
                 if ratio.verdict is not Verdict.UNDEFINED:
-                    assert ratio.verdict is report.length_for(seg).verdict
+                    assert ratio.verdict is report.lengths[seg].verdict

@@ -10,7 +10,6 @@ from fri_lab import (
     Observation,
     Rule,
     RuleBase,
-    Segment,
     TrapezoidSet,
     Verdict,
     alpha_cut,
@@ -85,10 +84,8 @@ def test_length_condition_normal_implies_points_monotone():
         lower, upper, obs = random_flanked_config(rng)
         points = kh_characteristic_points(lower, upper, obs)
         direct = direct_normality(points)
-        for seg in Segment:
-            verdict = length_condition(
-                extract_segment_params(lower, upper, obs, seg)
-            ).verdict
+        for seg, p in extract_segment_params(lower, upper, obs).items():
+            verdict = length_condition(p).verdict
             if verdict is Verdict.NORMAL:
                 assert direct[seg] is Verdict.NORMAL
 
@@ -101,10 +98,8 @@ def test_uniform_length_condition_is_exact():
         lower, upper, obs = random_uniform_config(rng)
         points = kh_characteristic_points(lower, upper, obs)
         direct = direct_normality(points)
-        for seg in Segment:
-            verdict = length_condition(
-                extract_segment_params(lower, upper, obs, seg)
-            ).verdict
+        for seg, p in extract_segment_params(lower, upper, obs).items():
+            verdict = length_condition(p).verdict
             assert verdict is direct[seg]
 
 
