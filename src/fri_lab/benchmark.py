@@ -9,14 +9,18 @@ sweep that serves as an independent abnormality oracle.
 """
 from __future__ import annotations
 
+import math
+import operator
 from typing import Iterable, Mapping
 
 from ._frozen import frozen
+from .errors import DomainError, ZeroSpan
 from .interpolate import (
     TOL,
     Observation,
     Rule,
     RuleBase,
+    _require_flanked,
     kh_alpha_profile,
     kh_characteristic_points,
     khstab_points,
@@ -116,14 +120,14 @@ class CaseReport:
 
     @property
     def passed(self) -> bool:
-        # a KH or KHstab reference row that does not match fails the case
-        return all(c.passed for c in self.checks) and all(
-            r.passed is not False for r in self.references
-        )
+        return not self.failures
 
     @property
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+    def failures(self) -> tuple[CheckResult | ReferenceComparison, ...]:
+        """The failed checks, then the KH and KHstab reference rows that do not match."""
+        return tuple(c for c in self.checks if not c.passed) + tuple(
+            r for r in self.references if r.passed is False
+        )
 
 
 @frozen
@@ -497,6 +501,78 @@ def sweep_oracle(
         inf_monotone=bool((inf_steps >= -TOL).all()),
         sup_monotone=bool((sup_steps <= TOL).all()),
         abnormal_levels=abnormal_levels,
+    )
+
+
+def _sweep_in_floats(
+    lower: Rule, upper: Rule, obs: Observation, n_levels: int
+) -> SweepOracleResult:
+    """:func:`sweep_oracle` in plain floats, so that a CLI call does not import numpy.
+
+    It repeats :func:`~fri_lab.interpolate.kh_alpha_profile` and the summary
+    step by step, with the same checks in the same order. The levels are
+    those of ``np.linspace``. A clamped cut endpoint is the computed value
+    on a tie or a nan, as with ``np.minimum`` and ``np.maximum``, and a nan
+    end distance makes the scale that of a nan, as ``ndarray.max`` does. So
+    in one dimension every result has the library's bits. Across several
+    dimensions the distances chain ``math.hypot`` where the library chains
+    ``np.hypot``, which may differ in the last bit. A 1001-level sweep takes
+    a few milliseconds this way, against well under one with numpy, so the
+    library keeps numpy and only the CLI, which would pay for its import,
+    calls this.
+    """
+    if n_levels < 2:
+        raise DomainError(f"need at least 2 levels, got {n_levels}")
+    _require_flanked(lower, upper, obs)
+    step = 1.0 / (n_levels - 1)
+    levels = [i * step for i in range(n_levels)]
+    levels[-1] = 1.0
+
+    def cuts(s):
+        a1, a2, a3, a4 = s.a1, s.a2, s.a3, s.a4
+        lo, hi = a2 - a1, a4 - a3
+        return (
+            [a2 if (x := a1 + level * lo) > a2 else x for level in levels],
+            [a3 if (x := a4 - level * hi) < a3 else x for level in levels],
+        )
+
+    k = obs.dimension
+    placed = [cuts(s) for s in (*lower.antecedents, *obs.sets, *upper.antecedents)]
+    # per cut side (inf, sup), the distances observation - lower and
+    # upper - observation: abs in dimension 0, then np.hypot's reduce order
+    dists = []
+    for side in (0, 1):
+        for near, far in ((0, k), (k, 2 * k)):
+            diffs = [map(operator.sub, placed[far + d][side], placed[near + d][side])
+                     for d in range(k)]
+            norm = list(map(abs, diffs[0]))
+            for diff in diffs[1:]:
+                norm = list(map(math.hypot, norm, diff))
+            dists.append(norm)
+    ends = [d[i] for d in dists for i in (0, -1)]
+    top = math.nan if any(map(math.isnan, ends)) else max(ends)
+    scale = math.ldexp(1.0, min(-1 - math.frexp(top)[1], 1023))
+    sides = [[[d * scale for d in norm] for norm in pair] for pair in (dists[:2], dists[2:])]
+    spans = [list(map(operator.add, d1, d2)) for d1, d2 in sides]
+    if not all(map(all, spans)):
+        raise ZeroSpan("flanking antecedents coincide at some level")
+    b1s, b2s = cuts(lower.consequent), cuts(upper.consequent)
+    infs, sups = (
+        [(d2 * p + d1 * q) / s for d1, d2, p, q, s in zip(*scaled, b1, b2, span)]
+        for scaled, b1, b2, span in zip(sides, b1s, b2s, spans)
+    )
+    if not all(map(math.isfinite, infs + sups)):
+        raise DomainError("profile endpoints must be finite")
+
+    gaps = list(map(operator.sub, sups, infs))
+    min_raw = min(gaps)
+    idx = max(i for i, gap in enumerate(gaps) if gap <= min_raw + TOL)
+    return SweepOracleResult(
+        min_gap=min_raw,
+        gap_argmin=levels[idx],
+        inf_monotone=all(b - a >= -TOL for a, b in zip(infs, infs[1:])),
+        sup_monotone=all(b - a <= TOL for a, b in zip(sups, sups[1:])),
+        abnormal_levels=tuple(level for level, gap in zip(levels, gaps) if gap < -TOL),
     )
 
 

@@ -59,7 +59,7 @@ def _print_verdict_block(report, decimals: int) -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .benchmark import builtin_cases, run_case, sweep_oracle
+    from .benchmark import _sweep_in_floats, builtin_cases, run_case
 
     cases = builtin_cases()
     if args.case is not None:
@@ -72,8 +72,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         passed = result.passed
         oracle = None
         if args.sweep is not None:
-            oracle = sweep_oracle(
-                case.rule_lower, case.rule_upper, case.observation, n_levels=args.sweep
+            oracle = _sweep_in_floats(
+                case.rule_lower, case.rule_upper, case.observation, args.sweep
             )
             agrees = oracle.abnormal == (report.overall is Verdict.PROBLEM)
             # a sweep that contradicts the verdict fails the case
@@ -176,9 +176,9 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
             points = kh_characteristic_points(lower, upper, observation)
     oracle = None
     if args.sweep is not None:
-        from .benchmark import sweep_oracle
+        from .benchmark import _sweep_in_floats
 
-        oracle = sweep_oracle(lower, upper, observation, n_levels=args.sweep)
+        oracle = _sweep_in_floats(lower, upper, observation, args.sweep)
     print(f"method: {args.method}")
     print(f"conclusion points: {_fmt_points(points.as_tuple(), args.decimals)}")
     shape = assemble_conclusion(points)

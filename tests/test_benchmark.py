@@ -49,9 +49,8 @@ class TestRunCase:
     @pytest.mark.parametrize("case_id", range(1, 10))
     def test_each_case_passes(self, case_id):
         report = run_case(case(case_id))
-        assert report.passed, [
-            (c.name, c.segment, c.computed, c.expected) for c in report.failures
-        ]
+        # the failed checks and reference rows, each with its values
+        assert report.passed, report.failures
 
     def test_case6_verdict_pattern(self):
         c = case(6)
@@ -101,6 +100,8 @@ class TestRunAll:
         assert result.passed is False
         assert all(c.passed for c in result.checks)
         assert [r.passed for r in result.references if r.method == "KHstab"] == [False]
+        # the failed row is the case's one failure, so a failed case names its reason
+        assert result.failures == tuple(r for r in result.references if r.method == "KHstab")
         report = run_all()
         assert report.n_passed == 8 and not report.passed
         assert [r.case_id for r in report.case_reports if not r.passed] == [7]

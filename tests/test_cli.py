@@ -28,6 +28,18 @@ SUBNORMAL_DOC = {
     "observation": [[4.5e-310, 5e-310, 5e-310, 5.5e-310]],
 }
 
+# a valid document whose lower antecedent spans more than the largest float:
+# its a2 - a1 is inf, so the profile's cut at level 0 is nan
+SPAN_OVERFLOW_DOC = {
+    "version": "1",
+    "dimension": 1,
+    "rules": [
+        {"antecedents": [[-1.7e308, 1e308, 1.1e308, 1.2e308]], "consequent": [1, 2, 3, 4]},
+        {"antecedents": [[0, 1.6e308, 1.65e308, 1.7e308]], "consequent": [6, 7, 8, 9]},
+    ],
+    "observation": [[-1e308, 1.3e308, 1.4e308, 1.5e308]],
+}
+
 
 class TestBench:
     def test_full_run_passes(self, capsys):
@@ -66,7 +78,8 @@ class TestBench:
     def test_sweep_that_contradicts_the_verdict_fails_the_case(self, monkeypatch, capsys):
         import fri_lab.benchmark as benchmark
 
-        real = benchmark.sweep_oracle
+        # the command sweeps with the plain-float twin of sweep_oracle
+        real = benchmark._sweep_in_floats
         case3 = next(c for c in benchmark.builtin_cases() if c.case_id == 3)
 
         def contradicting(r1, r2, obs, n_levels):
@@ -74,7 +87,7 @@ class TestBench:
                 return benchmark.SweepOracleResult(-1.0, 1.0, True, True, (1.0,))
             return real(r1, r2, obs, n_levels)
 
-        monkeypatch.setattr(benchmark, "sweep_oracle", contradicting)
+        monkeypatch.setattr(benchmark, "_sweep_in_floats", contradicting)
         assert main(["bench", "--sweep", "11"]) == 1
         out = capsys.readouterr().out
         assert out.count("agrees_with_verdict=NO") == 1
@@ -213,6 +226,18 @@ class TestInterpolate:
         out = capsys.readouterr().out
         assert "conclusion points: (3.9167, 4.5, 4.6667, 5.25)" in out
         assert out.splitlines()[-1].startswith("sweep(101): min_gap=0.1667 at level 1,")
+
+    def test_sweep_with_nan_cuts_fails_in_one_line(self, tmp_path):
+        path = tmp_path / "span_overflow.json"
+        path.write_text(json.dumps(SPAN_OVERFLOW_DOC))
+        # a fresh process, whose stderr would also show any warning
+        proc = subprocess.run(
+            [sys.executable, "-m", "fri_lab", "interpolate", str(path), "--sweep", "11"],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: profile endpoints must be finite\n"
 
     def test_khstab_on_subnormal_spacing_matches_kh(self, tmp_path, capsys):
         # inverse distances near 1e310 overflow; weights relative to the
@@ -433,28 +458,43 @@ def run_probe(probe: str, argv: list[str]) -> subprocess.CompletedProcess:
     )
 
 
-def modules_loaded(tmp_path, argv: list[str]) -> set[str]:
-    proc = run_probe(MODULES_PROBE, [a.format(tmp=tmp_path) for a in argv])
+def modules_loaded(tmp_path, argv: list[str], probe: str = MODULES_PROBE) -> set[str]:
+    proc = run_probe(probe, [a.format(tmp=tmp_path) for a in argv])
     assert proc.stdout, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+# the modules that a library sweep loads, with no command around it
+LIBRARY_SWEEP_PROBE = """
+import json
+import sys
+before = set(sys.modules)
+from fri_lab import builtin_cases, sweep_oracle
+case = builtin_cases()[5]
+sweep_oracle(case.rule_lower, case.rule_upper, case.observation, 11)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
 @pytest.mark.parametrize(
-    "argv, loads_numpy",
+    "probe, argv, loads_numpy",
     [
-        ([], False),
-        (["validate", fixture(6)], False),
-        (["interpolate", fixture(6)], False),
-        (["bench"], False),
-        (["plot", fixture(6), "-o", "{tmp}/ex6.svg"], False),
-        (["interpolate", fixture(6), "--method", "khstab"], False),
-        (["interpolate", fixture(6), "--sweep", "11"], True),
+        (MODULES_PROBE, [], False),
+        (MODULES_PROBE, ["validate", fixture(6)], False),
+        (MODULES_PROBE, ["interpolate", fixture(6)], False),
+        (MODULES_PROBE, ["bench"], False),
+        (MODULES_PROBE, ["plot", fixture(6), "-o", "{tmp}/ex6.svg"], False),
+        (MODULES_PROBE, ["interpolate", fixture(6), "--method", "khstab"], False),
+        # the commands sweep in plain floats; the library's sweep keeps numpy
+        (MODULES_PROBE, ["interpolate", fixture(6), "--sweep", "11"], False),
+        (MODULES_PROBE, ["bench", "--sweep", "11"], False),
+        (LIBRARY_SWEEP_PROBE, [], True),
     ],
     ids=["import", "validate", "interpolate", "bench", "plot", "interpolate-khstab",
-         "interpolate-sweep"],
+         "interpolate-sweep", "bench-sweep", "library-sweep"],
 )
-def test_numpy_loads_only_for_profiles_and_sweeps(tmp_path, argv, loads_numpy):
-    assert ("numpy" in modules_loaded(tmp_path, argv)) == loads_numpy
+def test_numpy_loads_only_for_profiles_and_sweeps(tmp_path, probe, argv, loads_numpy):
+    assert ("numpy" in modules_loaded(tmp_path, argv, probe)) == loads_numpy
 
 
 @pytest.mark.parametrize(

@@ -22,8 +22,10 @@ from fri_lab import (
     membership_grade,
     precedes,
     select_flanking,
+    sweep_oracle,
 )
-from fri_lab.errors import NotFlanked
+from fri_lab.benchmark import _sweep_in_floats
+from fri_lab.errors import FriError, NotFlanked
 
 from genutil import (
     random_flanked_config,
@@ -355,7 +357,7 @@ def test_khstab_matches_reference_when_dimensions_order_rules_differently(case):
 # and the upper antecedent's in [4, 5], times that dimension's power of
 # ten; the consequents are free, at another power of ten.
 @st.composite
-def profile_cases(draw):
+def profile_cases(draw, dimensions=st.integers(min_value=1, max_value=3)):
     unit = st.floats(min_value=0, max_value=1)
 
     def trapezoid(offset, scale):
@@ -367,7 +369,7 @@ def profile_cases(draw):
         return TrapezoidSet(*(scale * x for x in points))
 
     exponent = st.integers(min_value=-300, max_value=300)
-    scales = [10.0 ** draw(exponent) for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    scales = [10.0 ** draw(exponent) for _ in range(draw(dimensions))]
     lows, observed, ups = ([trapezoid(offset, scale) for scale in scales] for offset in (0, 2, 4))
     b_scale = 10.0 ** draw(exponent)
     return (Rule(tuple(lows), consequent(b_scale)), Rule(tuple(ups), consequent(b_scale)),
@@ -393,3 +395,112 @@ def test_profile_matches_level_by_level_reference(case, n_levels):
         ulp = math.ulp(max(abs(b) for rule in (lower, upper) for b in rule.consequent.points()))
         for g, w in zip(got, want):
             assert max(abs(x - y) for x, y in zip(g, w)) <= 4 * ulp
+
+
+# The CLI sweeps with _sweep_in_floats, which repeats sweep_oracle in plain
+# floats. Both get the same cases as the profile test above, plus these.
+T = TrapezoidSet
+# zero-width consequents at -0.0: each cut's lower endpoint ties the computed
+# -0.0 + 0.0 = +0.0 with a2 = -0.0, and np.minimum returns the computed +0.0
+NEGATIVE_ZERO_CASE = (
+    Rule((T(0, 1, 2, 3),), T(-0.0, -0.0, -0.0, -0.0)),
+    Rule((T(10, 11, 12, 13),), T(-0.0, -0.0, -0.0, -0.0)),
+    Observation((T(4, 5, 6, 7),)),
+)
+# the benchmark's case 6, whose inverted levels from 0.7000000000000001 on
+# are those of np.linspace
+CORE_INVERSION_CASE = (
+    Rule((T(1, 2, 3, 4),), T(1.5, 2.5, 2.5, 3.8)),
+    Rule((T(6, 7, 8, 9),), T(6.5, 7.5, 7.5, 9)),
+    Observation((T(4.2, 5.2, 5.2, 6.7),)),
+)
+# the observation is one smallest subnormal above the lower antecedent in
+# every dimension, and the upper antecedent two (dimension 0) or one above it;
+# np.hypot chained pairwise gives the distances 1 and 2 smallest subnormals,
+# a three-argument math.hypot 2 and 2, and the consequents' kernels differ in
+# width, so the weights show in every gap
+SUBNORMAL_3D_CASE = (
+    Rule((T(0, 0, 0, 0),) * 3, T(1, 2, 3, 4)),
+    Rule((T(*[1.5e-323] * 4), T(*[1e-323] * 4), T(*[1e-323] * 4)), T(6, 7, 9, 10)),
+    Observation((T(*[5e-324] * 4),) * 3),
+)
+
+
+def sweep_outcome(sweep, lower, upper, obs, n_levels):
+    """The sweep's result, or the type and message of the error it raised."""
+    try:
+        return sweep(lower, upper, obs, n_levels)
+    except FriError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(profile_cases(dimensions=st.just(1)), st.sampled_from((2, 3, 11, 101, 1001)))
+@example(NEGATIVE_ZERO_CASE, 11)
+@example(CORE_INVERSION_CASE, 11)
+def test_float_sweep_has_the_bits_of_sweep_oracle_in_one_dimension(case, n_levels):
+    assert repr(_sweep_in_floats(*case, n_levels)) == repr(sweep_oracle(*case, n_levels))
+
+
+@settings(max_examples=100)
+@given(profile_cases(dimensions=st.integers(min_value=2, max_value=3)),
+       st.sampled_from((2, 3, 11, 101, 1001)))
+@example(SUBNORMAL_3D_CASE, 11)
+def test_float_sweep_matches_sweep_oracle_across_dimensions(case, n_levels):
+    got, want = (sweep(*case, n_levels) for sweep in (_sweep_in_floats, sweep_oracle))
+    assert (got.inf_monotone, got.sup_monotone, got.abnormal_levels) == (
+        want.inf_monotone, want.sup_monotone, want.abnormal_levels
+    )
+    # math.hypot and np.hypot may differ in a distance's last bit, which moves
+    # an endpoint by ulps of the largest consequent point, as in the profile test
+    lower, upper, _ = case
+    ulp = math.ulp(max(abs(b) for rule in (lower, upper) for b in rule.consequent.points()))
+    assert abs(got.min_gap - want.min_gap) <= 4 * ulp
+
+
+CONSEQUENTS = (T(1, 2, 3, 4), T(6, 7, 8, 9))
+# the observation one ulp above the lower antecedent and the upper one ulp
+# above it: their cut endpoints round onto each other at some of 11 levels
+NEAR = T(0.3, 3.3, 6.3, 9.3)
+NEARER = T(0.30000000000000004, 3.3000000000000003, 6.300000000000001, 9.300000000000002)
+NEAREST = T(0.3000000000000001, 3.3000000000000007, 6.300000000000002, 9.300000000000004)
+# the lower antecedent's a2 - a1 overflows, so its cut at level 0 is nan
+SPAN_OVERFLOW = (T(-1.7e308, 1e308, 1.1e308, 1.2e308), T(0, 1.6e308, 1.65e308, 1.7e308),
+                 T(-1e308, 1.3e308, 1.4e308, 1.5e308))
+# two dimensions: in the first, the upper antecedent's a4 - a3 overflows, so
+# one end distance is nan, and at level 1/2 all three sup cuts round to
+# -7.250000000000001e307; in the second, the sets lie 1e-300 apart. The nan
+# scales the distances by 1/2, so the spans at level 1/2 stay above zero and
+# the nan endpoints decide; a scale taken from the other end distances,
+# near 1e308, would make those spans 0.
+NAN_END_DISTANCE = (
+    (T(-1.75e308, -1.75e308, -1.5000000000000002e308, 4.999999999999998e306), T(0, 0, 0, 0)),
+    (T(-1.65e308, -1.65e308, -7.250000000000001e307, 1.7976931348623157e308),
+     T(*[2e-300] * 4)),
+    (T(-1.7e308, -1.7e308, -1.5e308, 5e306), T(*[1e-300] * 4)),
+)
+
+
+def flanked(lows, ups, observed):
+    return Rule(lows, CONSEQUENTS[0]), Rule(ups, CONSEQUENTS[1]), Observation(observed)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "case, n_levels, error",
+    [
+        (flanked((NEAR,), (NEAREST,), (NEARER,)), 1, "DomainError"),
+        (flanked((NEAR,), (NEAREST,), (NEARER,)), 0, "DomainError"),
+        (flanked((NEAR,), (NEAREST,), (NEARER,)), -3, "DomainError"),
+        (flanked((NEAREST,), (NEAR,), (NEARER,)), 11, "OrderingViolation"),
+        (flanked((NEAR,), (NEAREST,), (NEARER,)), 11, "ZeroSpan"),
+        (flanked(*[(s,) for s in SPAN_OVERFLOW]), 11, "DomainError"),
+        (flanked(*NAN_END_DISTANCE), 3, "DomainError"),
+    ],
+    ids=["1-level", "0-levels", "-3-levels", "unflanked", "coinciding-antecedents",
+         "span-overflow", "nan-end-distance"],
+)
+def test_float_sweep_fails_like_sweep_oracle(case, n_levels, error):
+    want = sweep_outcome(sweep_oracle, *case, n_levels)
+    assert sweep_outcome(_sweep_in_floats, *case, n_levels) == want
+    assert want[0].__name__ == error
