@@ -296,6 +296,20 @@ def select_flanking(rb: RuleBase, obs: Observation) -> tuple[Rule, Rule]:
     return (rb.rules[lower_best[1]], rb.rules[upper_best[1]])
 
 
+def _weighted_mean(d1: float, d2: float, b1: float, b2: float) -> float | None:
+    """KH's mean ``(d2 * b1 + d1 * b2) / (d1 + d2)``, or None when ``d1 + d2`` is zero.
+
+    Both distances are first scaled by the power of two that brings the
+    larger below 1/2. That leaves the mean unchanged, but keeps its
+    numerator from overflowing for huge consequents and from underflowing
+    for tiny distances.
+    """
+    shift = -1 - math.frexp(max(d1, d2))[1]
+    d1, d2 = math.ldexp(d1, shift), math.ldexp(d2, shift)
+    span = d1 + d2
+    return (d2 * b1 + d1 * b2) / span if span else None
+
+
 def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> ConclusionPoints:
     """Interpolate the four conclusion points between two flanking rules.
 
@@ -306,27 +320,19 @@ def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> Conc
         ``y_j = (d2 * b1_j + d1 * b2_j) / (d1 + d2)``
 
     so the conclusion leans toward the nearer rule's consequent. The output
-    is not sorted. Both distances are first scaled by the power of two that
-    brings the larger below 1/2. That leaves the mean unchanged, but keeps
-    its numerator from overflowing for huge consequents and from
-    underflowing for tiny distances.
+    is not sorted. Each point's pair of distances is scaled as
+    :func:`_weighted_mean` describes.
     """
     _require_flanked(lower, upper, obs)
     # per point j: the lower antecedents', observation's and upper
     # antecedents' point j in every dimension
-    lows, observed, ups = (zip(*(s.points() for s in sets))
+    lows, observed, ups = (list(zip(*(s.points() for s in sets)))
                            for sets in (lower.antecedents, obs.sets, upper.antecedents))
-    consequents = (lower.consequent.points(), upper.consequent.points())
-    values = []
-    for j, (a1, ob, a2, b1, b2) in enumerate(zip(lows, observed, ups, *consequents)):
-        d1 = math.dist(ob, a1)
-        d2 = math.dist(a2, ob)
-        shift = -1 - math.frexp(max(d1, d2))[1]
-        d1, d2 = math.ldexp(d1, shift), math.ldexp(d2, shift)
-        span = d1 + d2
-        if span == 0.0:
-            raise ZeroSpan(f"flanking antecedents coincide at point {j + 1}")
-        values.append((d2 * b1 + d1 * b2) / span)
+    values = list(map(_weighted_mean, map(math.dist, observed, lows),
+                      map(math.dist, ups, observed),
+                      lower.consequent.points(), upper.consequent.points()))
+    if None in values:
+        raise ZeroSpan(f"flanking antecedents coincide at point {values.index(None) + 1}")
     return ConclusionPoints(*values)
 
 
@@ -335,11 +341,11 @@ def kh_alpha_profile(
 ) -> AlphaProfile:
     """Resolve the interpolation at ``n_levels`` equally spaced cut levels.
 
-    Levels 0 and 1 reproduce the characteristic points exactly; in between
-    the endpoints follow the same weighted mean applied to the cut endpoints
-    of the consequents, with Euclidean distances re-evaluated per level.
-    Every distance is scaled by the one power of two that brings the largest
-    below 1/2, for the reason given in :func:`kh_characteristic_points`.
+    Each level's inf and sup are :func:`_weighted_mean` of the consequents'
+    cut endpoints, with Euclidean distances re-evaluated per level. In one
+    dimension level 0 gives KH's ``y1`` and ``y4`` exactly; level 1 gives
+    ``y2`` and ``y3`` to rounding, as a cut such as ``a1 + (a2 - a1)`` may
+    miss ``a2`` by an ulp.
 
     The work is done on one array over sets × cut sides (inf, sup) × levels,
     the sets being the lower antecedents, the observation, the upper
@@ -369,12 +375,7 @@ def kh_alpha_profile(
     placed = curves[: 3 * k].reshape(3, k, 2, n_levels)
     diffs = placed[1:] - placed[:-1]
     dists = reduce(np.hypot, (diffs[:, d] for d in range(1, k)), np.abs(diffs[:, 0]))
-    # each distance is the norm of differences affine in the level, so the
-    # largest lies at level 0 or 1; a float holds powers of two up to
-    # 2**1023, which lifts even the smallest subnormal into normal range
-    top = float(dists[..., :: n_levels - 1].max())
-    dists *= math.ldexp(1.0, min(-1 - math.frexp(top)[1], 1023))
-    d1, d2 = dists
+    d1, d2 = np.ldexp(dists, -1 - np.frexp(np.maximum(*dists))[1])
     spans = d1 + d2
     if not spans.all():
         raise ZeroSpan("flanking antecedents coincide at some level")

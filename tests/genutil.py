@@ -162,8 +162,8 @@ def reference_profile(
     lower: Rule, upper: Rule, obs: Observation, levels: Sequence[float]
 ) -> tuple[list[float], list[float]]:
     """The α-profile of ``kh_alpha_profile`` at ``levels``, one level at a time
-    in plain floats: the same cut endpoints, distances, power-of-two scale
-    and weighted mean, in the same order. Returns the infs and the sups.
+    in plain floats: the same cut endpoints, distances, per-level power-of-two
+    scale and weighted mean, in the same order. Returns the infs and the sups.
 
     Distances across several dimensions use ``math.hypot`` where the library
     chains ``np.hypot``, so those may differ in the last bits; in one
@@ -176,22 +176,17 @@ def reference_profile(
     def norm(diffs: list[float]) -> float:
         return abs(diffs[0]) if len(diffs) == 1 else math.hypot(*diffs)
 
-    # per level and cut side: the distances observation - lower, upper - observation
-    dists = []
+    sides: tuple[list[float], list[float]] = ([], [])
     for level in levels:
         lows, observed, ups = ([cut(s, level) for s in sets]
                                for sets in (lower.antecedents, obs.sets, upper.antecedents))
-        dists.append([
-            (norm([o[side] - a[side] for a, o in zip(lows, observed)]),
-             norm([u[side] - o[side] for o, u in zip(observed, ups)]))
-            for side in (0, 1)
-        ])
-    top = max(d for per_level in (dists[0], dists[-1]) for pair in per_level for d in pair)
-    scale = math.ldexp(1.0, min(-1 - math.frexp(top)[1], 1023))
-    sides: tuple[list[float], list[float]] = ([], [])
-    for level, per_level in zip(levels, dists):
         b1, b2 = cut(lower.consequent, level), cut(upper.consequent, level)
         for side, values in enumerate(sides):
-            d1, d2 = (d * scale for d in per_level[side])
+            # the distances observation - lower and upper - observation,
+            # scaled so that the larger lies below 1/2
+            d1 = norm([o[side] - a[side] for a, o in zip(lows, observed)])
+            d2 = norm([u[side] - o[side] for o, u in zip(observed, ups)])
+            shift = -1 - math.frexp(max(d1, d2))[1]
+            d1, d2 = math.ldexp(d1, shift), math.ldexp(d2, shift)
             values.append((d2 * b1[side] + d1 * b2[side]) / (d1 + d2))
     return sides

@@ -40,6 +40,18 @@ SPAN_OVERFLOW_DOC = {
     "observation": [[-1e308, 1.3e308, 1.4e308, 1.5e308]],
 }
 
+# a valid document whose distances are 1e-30 at cut level 0 and near 5e299 at
+# level 1, so the sweep must scale each level on its own
+DISTANT_SCALES_DOC = {
+    "version": "1",
+    "dimension": 1,
+    "rules": [
+        {"antecedents": [[0, 0, 0, 0]], "consequent": [1, 2, 3, 4]},
+        {"antecedents": [[2e-30, 1e300, 1e300, 1.1e300]], "consequent": [6, 7, 8, 9]},
+    ],
+    "observation": [[1e-30, 5e299, 5e299, 6e299]],
+}
+
 
 class TestBench:
     def test_full_run_passes(self, capsys):
@@ -226,6 +238,18 @@ class TestInterpolate:
         out = capsys.readouterr().out
         assert "conclusion points: (3.9167, 4.5, 4.6667, 5.25)" in out
         assert out.splitlines()[-1].startswith("sweep(101): min_gap=0.1667 at level 1,")
+
+    def test_sweep_over_distances_of_distant_scales_completes(self, tmp_path, capsys):
+        path = tmp_path / "distant_scales.json"
+        path.write_text(json.dumps(DISTANT_SCALES_DOC))
+        # the exit code is left open: the RTB length condition overflows to
+        # nan > inf, a PROBLEM verdict of its own
+        main(["interpolate", str(path), "--sweep", "11"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == (
+            "sweep(11): min_gap=1 at level 1, inf_monotone=True, sup_monotone=True, abnormal=no"
+        )
 
     def test_sweep_with_nan_cuts_fails_in_one_line(self, tmp_path):
         path = tmp_path / "span_overflow.json"

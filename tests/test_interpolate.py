@@ -140,11 +140,28 @@ class TestCharacteristicPoints:
                 obs1d((0, 0, 0, 0)),
             )
 
+    def test_rejects_observation_reaching_into_the_upper_antecedent(self):
+        with pytest.raises(OrderingViolation, match="^observation does not precede the upper"):
+            kh_characteristic_points(
+                rule1d((1, 2, 3, 4), (1, 2, 3, 4)),
+                rule1d((6, 7, 8, 9), (6, 7, 8, 9)),
+                obs1d((5, 6, 7, 10)),
+            )
+
     def test_dimension_mismatch(self):
         r = rule1d((1, 2, 3, 4), (1, 2, 3, 4))
         two_d = Observation((TrapezoidSet(4, 5, 5, 6), TrapezoidSet(4, 5, 5, 6)))
         with pytest.raises(DimensionError):
             kh_characteristic_points(r, rule1d((6, 7, 8, 9), (6, 7, 8, 9)), two_d)
+
+
+@pytest.mark.parametrize("method", [select_flanking, khstab_points])
+def test_rule_base_rejects_an_observation_of_another_dimension(method):
+    rb = RuleBase((rule1d((1, 2, 3, 4), (1, 2, 3, 4)), rule1d((6, 7, 8, 9), (6, 7, 8, 9))))
+    two_d = Observation((TrapezoidSet(4, 5, 5, 6),) * 2)
+    with pytest.raises(DimensionError, match="^rule base dimension 1 does not match "
+                                             "observation dimension 2$"):
+        method(rb, two_d)
 
 
 class TestMultiDimension:

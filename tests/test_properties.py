@@ -72,10 +72,12 @@ def test_profile_endpoints_match_characteristic_points_on_random_configs():
         lower, upper, obs = random_flanked_config(rng)
         points = kh_characteristic_points(lower, upper, obs)
         profile = kh_alpha_profile(lower, upper, obs, n_levels=5)
-        assert abs(profile.infs[0] - points.y1) <= 1e-9
+        assert profile.infs[0] == points.y1
+        # a cut at level 1 is a1 + (a2 - a1) or a4 - (a4 - a3), which may miss
+        # a2 or a3 by an ulp
         assert abs(profile.infs[-1] - points.y2) <= 1e-9
         assert abs(profile.sups[-1] - points.y3) <= 1e-9
-        assert abs(profile.sups[0] - points.y4) <= 1e-9
+        assert profile.sups[0] == points.y4
 
 
 def test_length_condition_normal_implies_points_monotone():
@@ -424,6 +426,14 @@ SUBNORMAL_3D_CASE = (
     Rule((T(*[1.5e-323] * 4), T(*[1e-323] * 4), T(*[1e-323] * 4)), T(6, 7, 9, 10)),
     Observation((T(*[5e-324] * 4),) * 3),
 )
+# distances of 1e-30 at level 0 and near 5e299 at level 1: no one power of
+# two brings both ends of the profile into range, so each level is scaled
+# on its own, and no span underflows to zero
+DISTANT_SCALES_CASE = (
+    Rule((T(0, 0, 0, 0),), T(1, 2, 3, 4)),
+    Rule((T(2e-30, 1e300, 1e300, 1.1e300),), T(6, 7, 8, 9)),
+    Observation((T(1e-30, 5e299, 5e299, 6e299),)),
+)
 
 
 def sweep_outcome(sweep, lower, upper, obs, n_levels):
@@ -438,6 +448,7 @@ def sweep_outcome(sweep, lower, upper, obs, n_levels):
 @given(profile_cases(dimensions=st.just(1)), st.sampled_from((2, 3, 11, 101, 1001)))
 @example(NEGATIVE_ZERO_CASE, 11)
 @example(CORE_INVERSION_CASE, 11)
+@example(DISTANT_SCALES_CASE, 11)
 def test_float_sweep_has_the_bits_of_sweep_oracle_in_one_dimension(case, n_levels):
     assert repr(_sweep_in_floats(*case, n_levels)) == repr(sweep_oracle(*case, n_levels))
 
@@ -468,11 +479,11 @@ NEAREST = T(0.3000000000000001, 3.3000000000000007, 6.300000000000002, 9.3000000
 SPAN_OVERFLOW = (T(-1.7e308, 1e308, 1.1e308, 1.2e308), T(0, 1.6e308, 1.65e308, 1.7e308),
                  T(-1e308, 1.3e308, 1.4e308, 1.5e308))
 # two dimensions: in the first, the upper antecedent's a4 - a3 overflows, so
-# one end distance is nan, and at level 1/2 all three sup cuts round to
-# -7.250000000000001e307; in the second, the sets lie 1e-300 apart. The nan
-# scales the distances by 1/2, so the spans at level 1/2 stay above zero and
-# the nan endpoints decide; a scale taken from the other end distances,
-# near 1e308, would make those spans 0.
+# its sup cut at level 0 is nan, and at level 1/2 all three sup cuts round to
+# -7.250000000000001e307; in the second, the sets lie 1e-300 apart. So the
+# sup distances at level 1/2 are the 1e-300 of the second dimension alone,
+# which that level's own scale keeps above zero, and the nan endpoint at
+# level 0 decides: a DomainError, not a ZeroSpan.
 NAN_END_DISTANCE = (
     (T(-1.75e308, -1.75e308, -1.5000000000000002e308, 4.999999999999998e306), T(0, 0, 0, 0)),
     (T(-1.65e308, -1.65e308, -7.250000000000001e307, 1.7976931348623157e308),

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,23 @@ class TestLoad:
         with pytest.raises(ValidationError, match="unknown top-level"):
             load_document(bad)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "top level must be an object"),
+            (EXAMPLE1_TEXT.replace("[[4, 5, 5, 6]]", "[]"),
+             "'observation' must be a non-empty array"),
+            (EXAMPLE1_TEXT.replace('"Example 1"', "1"), "metadata['name']: expected a string"),
+            (EXAMPLE1_TEXT.replace("[[4, 5, 5, 6]]", "[[4, 5, 5, 6], [4, 5, 5, 6]]"),
+             "observation has 2 sets, expected 1"),
+        ],
+        ids=["top-level-array", "empty-observation", "non-string-metadata",
+             "observation-dimension"],
+    )
+    def test_malformed_document_rejected(self, text, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_document(text)
+
     def test_singleton_arity_one(self):
         doc = load_document(
             '{"version": "1", "dimension": 1, '
@@ -115,6 +133,20 @@ class TestRoundTrip:
         doc = load_document(EXAMPLE1_TEXT)
         again = load_document(save_document(doc))
         assert again == doc
+
+    def test_singleton_document_round_trips_byte_identically(self):
+        text = json.dumps({
+            "version": "1",
+            "dimension": 1,
+            "rules": [
+                {"antecedents": [[2.0]], "consequent": [5.0]},
+                {"antecedents": [[7.0]], "consequent": [9.5]},
+            ],
+            "observation": [[4.25]],
+        }, indent=2) + "\n"
+        doc = load_document(text)
+        assert doc.rule_arities == (((1,), 1), ((1,), 1)) and doc.observation_arity == (1,)
+        assert save_document(doc) == text.encode("utf-8")
 
     def test_triangle_arity_preserved_on_resave(self):
         doc = load_document(EXAMPLE1_TEXT)
