@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import reduce
 from typing import Iterable, Mapping
 
 from ._frozen import frozen
@@ -20,7 +21,7 @@ from .interpolate import (
     Observation,
     Rule,
     RuleBase,
-    _require_flanked,
+    _cut_ends,
     _weighted_mean,
     kh_alpha_profile,
     kh_characteristic_points,
@@ -511,46 +512,32 @@ def _sweep_in_floats(
     """:func:`sweep_oracle` in plain floats, so that a CLI call does not import numpy.
 
     It repeats :func:`~fri_lab.interpolate.kh_alpha_profile` and the summary
-    step by step, with the same checks in the same order. The levels are
-    those of ``np.linspace``. A clamped cut endpoint is the computed value
-    on a tie or a nan, as with ``np.minimum`` and ``np.maximum``. So in one
-    dimension every result has the library's bits. Across several
-    dimensions the distances chain ``math.hypot`` where the library chains
-    ``np.hypot``, which may differ in the last bit. A 1001-level sweep takes
-    a few milliseconds this way, against well under one with numpy, so the
-    library keeps numpy and only the CLI, which would pay for its import,
-    calls this.
+    step by step from the same curve ends, with the same checks in the same
+    order, the levels of ``np.linspace``, and the kernel clamps of
+    ``np.minimum`` and ``np.maximum``, which keep the computed value on a
+    tie or a nan. So in one dimension every result has the library's bits;
+    across several, ``math.hypot`` may differ from ``np.hypot`` in the last
+    bit. A 1001-level sweep takes a few milliseconds this way, against well
+    under one with numpy, so only the CLI, which would pay for numpy's
+    import, calls this.
     """
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
-    _require_flanked(lower, upper, obs)
     step = 1.0 / (n_levels - 1)
     levels = [i * step for i in range(n_levels)]
     levels[-1] = 1.0
-
-    def cuts(s):
-        a1, a2, a3, a4 = s.a1, s.a2, s.a3, s.a4
-        lo, hi = a2 - a1, a4 - a3
-        return (
-            [a2 if (x := a1 + level * lo) > a2 else x for level in levels],
-            [a3 if (x := a4 - level * hi) < a3 else x for level in levels],
-        )
+    rests = [1.0 - level for level in levels]
 
     k = obs.dimension
-    placed = [cuts(s) for s in (*lower.antecedents, *obs.sets, *upper.antecedents)]
-    # per cut side (inf, sup): the distances observation - lower and upper -
-    # observation (abs in dimension 0, then np.hypot's reduce order), then the means
     means = []
-    for side, b1, b2 in zip((0, 1), cuts(lower.consequent), cuts(upper.consequent)):
-        dists = []
-        for near, far in ((0, k), (k, 2 * k)):
-            diffs = [map(operator.sub, placed[far + d][side], placed[near + d][side])
-                     for d in range(k)]
-            norm = list(map(abs, diffs[0]))
-            for diff in diffs[1:]:
-                norm = list(map(math.hypot, norm, diff))
-            dists.append(norm)
-        means.append(list(map(_weighted_mean, *dists, b1, b2)))
+    for ends, past in zip(_cut_ends(lower, upper, obs), (operator.gt, operator.lt)):
+        curves = [[g0 * r + g1 * level for r, level in zip(rests, levels)] for g0, g1 in ends]
+        b1, b2 = ([kernel if past(x, kernel) else x for x in curve]
+                  for (_, kernel), curve in zip(ends[-2:], curves[-2:]))
+        # the distances to the lower and to the upper flank, in np.hypot's reduce order
+        d1, d2 = (reduce(lambda norm, gap: list(map(math.hypot, norm, gap)), flank[1:], flank[0])
+                  for flank in (curves[:k], curves[k:-2]))
+        means.append(list(map(_weighted_mean, d1, d2, b1, b2)))
     infs, sups = means
     if None in infs or None in sups:
         raise ZeroSpan("flanking antecedents coincide at some level")

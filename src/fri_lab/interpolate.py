@@ -226,21 +226,59 @@ class AlphaProfile:
         return len(self.levels)
 
 
-def _require_flanked(lower: Rule, upper: Rule, obs: Observation) -> None:
+def _gaps(lower: Rule, upper: Rule, obs: Observation) -> tuple[list[tuple], list[tuple]]:
+    """Per dimension, the observation's four gaps to the lower flank (``x - a``)
+    and to the upper flank (``u - x``); a gap may overflow to ``inf``.
+
+    Different finite floats never subtract to zero, so all gaps are positive
+    exactly when the flanks strictly precede and succeed the observation.
+    Raises :class:`DimensionError`, then :class:`OrderingViolation` at the
+    first dimension out of order, the lower flank checked first.
+    """
     if lower.dimension != obs.dimension or upper.dimension != obs.dimension:
         raise DimensionError(
             f"rule dimensions {lower.dimension}/{upper.dimension} do not match "
             f"observation dimension {obs.dimension}"
         )
-    for d in range(obs.dimension):
-        if not precedes(lower.antecedents[d], obs.sets[d]):
+    below, above = [], []
+    for d, (a, x, u) in enumerate(zip(lower.antecedents, obs.sets, upper.antecedents)):
+        below.append(tuple(map(operator.sub, x.points(), a.points())))
+        if min(below[-1]) <= 0:
             raise OrderingViolation(
                 f"lower antecedent does not precede the observation in dimension {d}"
             )
-        if not precedes(obs.sets[d], upper.antecedents[d]):
+        above.append(tuple(map(operator.sub, u.points(), x.points())))
+        if min(above[-1]) <= 0:
             raise OrderingViolation(
                 f"observation does not precede the upper antecedent in dimension {d}"
             )
+    return below, above
+
+
+def _cut_ends(lower: Rule, upper: Rule, obs: Observation) -> list[list[tuple[float, float]]]:
+    """Per cut side (inf: point 1 to 2, sup: point 4 to 3), every α-profile
+    curve's values at levels 0 and 1: the :func:`_gaps` to the lower flank in
+    every dimension, then to the upper, then the two consequents' points. A
+    side's gaps, when all lie below 1/2, are scaled up by the side's own power
+    of two, lest subnormal gaps lose bits when interpolated; the weights
+    depend only on ratios of distances.
+    """
+    below, above = _gaps(lower, upper, obs)
+    consequents = (lower.consequent.points(), upper.consequent.points())
+    sides = []
+    for start, end in ((0, 1), (3, 2)):
+        ends = [(g[start], g[end]) for g in (*below, *above)]
+        shift = -math.frexp(max(map(max, ends)))[1]
+        if shift > 0:
+            ends = [(math.ldexp(g0, shift), math.ldexp(g1, shift)) for g0, g1 in ends]
+        sides.append(ends + [(b[start], b[end]) for b in consequents])
+    return sides
+
+
+def _require_dimension(rb: RuleBase, obs: Observation) -> None:
+    if rb.dimension != obs.dimension:
+        raise DimensionError(f"rule base dimension {rb.dimension} does not match "
+                             f"observation dimension {obs.dimension}")
 
 
 _NO_LOWER = "no rule precedes the observation in every dimension"
@@ -263,11 +301,7 @@ def select_flanking(rb: RuleBase, obs: Observation) -> tuple[Rule, Rule]:
     wins. Raises :class:`NotFlanked` when either side is empty, since
     extrapolation is not supported.
     """
-    if rb.dimension != obs.dimension:
-        raise DimensionError(
-            f"rule base dimension {rb.dimension} does not match observation "
-            f"dimension {obs.dimension}"
-        )
+    _require_dimension(rb, obs)
     if rb._chain is not None:
         columns = rb._chain_columns
         observed = [x for s in obs.sets for x in s.points()]
@@ -323,13 +357,8 @@ def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> Conc
     is not sorted. Each point's pair of distances is scaled as
     :func:`_weighted_mean` describes.
     """
-    _require_flanked(lower, upper, obs)
-    # per point j: the lower antecedents', observation's and upper
-    # antecedents' point j in every dimension
-    lows, observed, ups = (list(zip(*(s.points() for s in sets)))
-                           for sets in (lower.antecedents, obs.sets, upper.antecedents))
-    values = list(map(_weighted_mean, map(math.dist, observed, lows),
-                      map(math.dist, ups, observed),
+    below, above = _gaps(lower, upper, obs)
+    values = list(map(_weighted_mean, map(math.hypot, *below), map(math.hypot, *above),
                       lower.consequent.points(), upper.consequent.points()))
     if None in values:
         raise ZeroSpan(f"flanking antecedents coincide at point {values.index(None) + 1}")
@@ -342,39 +371,26 @@ def kh_alpha_profile(
     """Resolve the interpolation at ``n_levels`` equally spaced cut levels.
 
     Each level's inf and sup are :func:`_weighted_mean` of the consequents'
-    cut endpoints, with Euclidean distances re-evaluated per level. In one
-    dimension level 0 gives KH's ``y1`` and ``y4`` exactly; level 1 gives
-    ``y2`` and ``y3`` to rounding, as a cut such as ``a1 + (a2 - a1)`` may
-    miss ``a2`` by an ulp.
-
-    The work is done on one array over sets × cut sides (inf, sup) × levels,
-    the sets being the lower antecedents, the observation, the upper
-    antecedents and the two consequents. Each set's two endpoint curves are
-    written into it with scalar operations; then one subtraction gives both
-    distance sides in every dimension, and one weighted mean gives the infs
-    and the sups.
+    cut endpoints, with Euclidean distances re-evaluated per level. With
+    linear flanks every gap between cut endpoints, and every consequent cut
+    endpoint before it stops at the kernel, is ``(1 - α) * v0 + α * v1`` from
+    its values at levels 0 and 1 (:func:`_cut_ends`). That form is exact at
+    both ends, so in one dimension levels 0 and 1 give KH's points exactly.
     """
     import numpy as np
 
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
-    _require_flanked(lower, upper, obs)
+    ends = np.array(_cut_ends(lower, upper, obs)).swapaxes(0, 1)
     levels = np.linspace(0.0, 1.0, n_levels)
-    # per set, its cut infimum and supremum at every level: the lower
-    # antecedents, the observation and the upper antecedents, one set per
-    # dimension each, then the lower and the upper consequent
-    sets = (*lower.antecedents, *obs.sets, *upper.antecedents, lower.consequent, upper.consequent)
-    curves = np.empty((len(sets), 2, n_levels))
-    for s, (inf, sup) in zip(sets, curves):
-        # each endpoint moves linearly in the level and stops at the kernel
-        np.minimum(s.a2, s.a1 + levels * (s.a2 - s.a1), out=inf)
-        np.maximum(s.a3, s.a4 - levels * (s.a4 - s.a3), out=sup)
-
-    # ob - a1 and a2 - ob in every dimension on both cut sides, then the norms
+    curves = ends[..., :1] * (1.0 - levels) + ends[..., 1:] * levels
+    # each consequent's cut endpoint stops at its kernel, its value at level 1
+    np.minimum(ends[-2:, 0, 1:], curves[-2:, 0], out=curves[-2:, 0])
+    np.maximum(ends[-2:, 1, 1:], curves[-2:, 1], out=curves[-2:, 1])
+    # the norms of the gaps to the lower and to the upper flank on both cut sides
     k = obs.dimension
-    placed = curves[: 3 * k].reshape(3, k, 2, n_levels)
-    diffs = placed[1:] - placed[:-1]
-    dists = reduce(np.hypot, (diffs[:, d] for d in range(1, k)), np.abs(diffs[:, 0]))
+    gaps = curves[:-2].reshape(2, k, 2, n_levels)
+    dists = reduce(np.hypot, (gaps[:, d] for d in range(1, k)), gaps[:, 0])
     d1, d2 = np.ldexp(dists, -1 - np.frexp(np.maximum(*dists))[1])
     spans = d1 + d2
     if not spans.all():
@@ -404,11 +420,7 @@ def khstab_points(rb: RuleBase, obs: Observation) -> ConclusionPoints:
     power of two, chosen so that the weighted sum cannot overflow even when
     they are near the largest float.
     """
-    if rb.dimension != obs.dimension:
-        raise DimensionError(
-            f"rule base dimension {rb.dimension} does not match observation "
-            f"dimension {obs.dimension}"
-        )
+    _require_dimension(rb, obs)
     values = []
     observed = zip(*(s.points() for s in obs.sets))
     for (rows, consequents, shift), point in zip(rb._point_rows, observed):

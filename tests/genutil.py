@@ -6,7 +6,7 @@ scenario the diagnostics are stated for). Shapes are (left flank, core,
 right flank) length triples; a set is placed by its support start. The
 module also holds a brute-force reference for flank selection, the
 per-rule loop that KHstab's kernel replaced, and a level-by-level
-reference for the α-profile.
+reference for the α-profile in floats and, in one dimension, exactly.
 """
 from __future__ import annotations
 
@@ -162,31 +162,60 @@ def reference_profile(
     lower: Rule, upper: Rule, obs: Observation, levels: Sequence[float]
 ) -> tuple[list[float], list[float]]:
     """The α-profile of ``kh_alpha_profile`` at ``levels``, one level at a time
-    in plain floats: the same cut endpoints, distances, per-level power-of-two
-    scale and weighted mean, in the same order. Returns the infs and the sups.
+    in plain floats: the same gaps, side scales, curves, clamps, distances,
+    per-level power-of-two scale and weighted mean, in the same order.
+    Returns the infs and the sups.
 
     Distances across several dimensions use ``math.hypot`` where the library
     chains ``np.hypot``, so those may differ in the last bits; in one
-    dimension both take the absolute difference.
+    dimension both take the gap itself.
     """
-    def cut(s: TrapezoidSet, level: float) -> tuple[float, float]:
-        # np.minimum(a2, x) and np.maximum(a3, x) return x on a tie
-        return (min(s.a1 + level * (s.a2 - s.a1), s.a2), max(s.a4 - level * (s.a4 - s.a3), s.a3))
+    def at(v0: float, v1: float, level: float) -> float:
+        return v0 * (1.0 - level) + v1 * level
 
-    def norm(diffs: list[float]) -> float:
-        return abs(diffs[0]) if len(diffs) == 1 else math.hypot(*diffs)
-
+    below = [tuple(x - a for a, x in zip(s.points(), o.points()))
+             for s, o in zip(lower.antecedents, obs.sets)]
+    above = [tuple(u - x for x, u in zip(o.points(), s.points()))
+             for o, s in zip(obs.sets, upper.antecedents)]
     sides: tuple[list[float], list[float]] = ([], [])
-    for level in levels:
-        lows, observed, ups = ([cut(s, level) for s in sets]
-                               for sets in (lower.antecedents, obs.sets, upper.antecedents))
-        b1, b2 = cut(lower.consequent, level), cut(upper.consequent, level)
+    # the inf side runs from point 1 at level 0 to point 2 at level 1, the
+    # sup side from point 4 to point 3
+    for (start, end), values in zip(((0, 1), (3, 2)), sides):
+        # one power of two per side lifts its gaps when all lie below 1/2
+        shift = max(0, -math.frexp(max(g[p] for g in below + above for p in (start, end)))[1])
+        lows, ups = ([(math.ldexp(g[start], shift), math.ldexp(g[end], shift)) for g in gaps]
+                     for gaps in (below, above))
+        # np.minimum(a2, x) and np.maximum(a3, x) return x on a tie
+        clamp = min if start == 0 else max
+        for level in levels:
+            d1 = math.hypot(*(at(*g, level) for g in lows))
+            d2 = math.hypot(*(at(*g, level) for g in ups))
+            b1, b2 = (clamp(at(b.points()[start], b.points()[end], level), b.points()[end])
+                      for b in (lower.consequent, upper.consequent))
+            # the distances scaled so that the larger lies below 1/2
+            scale = -1 - math.frexp(max(d1, d2))[1]
+            d1, d2 = math.ldexp(d1, scale), math.ldexp(d2, scale)
+            values.append((d2 * b1 + d1 * b2) / (d1 + d2))
+    return sides
+
+
+def exact_profile(
+    lower: Rule, upper: Rule, obs: Observation, levels: Sequence[float]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """The 1-d α-profile at ``levels`` in exact rational arithmetic: every
+    cut endpoint, distance and weighted mean of KH at each float level, with
+    nothing rounded. Returns the infs and the sups.
+    """
+    if obs.dimension != 1:
+        raise ValueError("the exact profile is rational in one dimension only")
+    sets = (lower.antecedents[0], obs.sets[0], upper.antecedents[0],
+            lower.consequent, upper.consequent)
+    sides: tuple[list[Fraction], list[Fraction]] = ([], [])
+    for level in map(Fraction, levels):
+        cuts = [(Fraction(s.a1) + level * (Fraction(s.a2) - Fraction(s.a1)),
+                 Fraction(s.a4) - level * (Fraction(s.a4) - Fraction(s.a3))) for s in sets]
+        a, x, u, b1, b2 = cuts
         for side, values in enumerate(sides):
-            # the distances observation - lower and upper - observation,
-            # scaled so that the larger lies below 1/2
-            d1 = norm([o[side] - a[side] for a, o in zip(lows, observed)])
-            d2 = norm([u[side] - o[side] for o, u in zip(observed, ups)])
-            shift = -1 - math.frexp(max(d1, d2))[1]
-            d1, d2 = math.ldexp(d1, shift), math.ldexp(d2, shift)
+            d1, d2 = x[side] - a[side], u[side] - x[side]
             values.append((d2 * b1[side] + d1 * b2[side]) / (d1 + d2))
     return sides

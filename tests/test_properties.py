@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,6 +29,7 @@ from fri_lab.benchmark import _sweep_in_floats
 from fri_lab.errors import FriError, NotFlanked
 
 from genutil import (
+    exact_profile,
     random_flanked_config,
     random_uniform_config,
     reference_flanks,
@@ -73,10 +75,8 @@ def test_profile_endpoints_match_characteristic_points_on_random_configs():
         points = kh_characteristic_points(lower, upper, obs)
         profile = kh_alpha_profile(lower, upper, obs, n_levels=5)
         assert profile.infs[0] == points.y1
-        # a cut at level 1 is a1 + (a2 - a1) or a4 - (a4 - a3), which may miss
-        # a2 or a3 by an ulp
-        assert abs(profile.infs[-1] - points.y2) <= 1e-9
-        assert abs(profile.sups[-1] - points.y3) <= 1e-9
+        assert profile.infs[-1] == points.y2
+        assert profile.sups[-1] == points.y3
         assert profile.sups[0] == points.y4
 
 
@@ -399,14 +399,74 @@ def test_profile_matches_level_by_level_reference(case, n_levels):
             assert max(abs(x - y) for x, y in zip(g, w)) <= 4 * ulp
 
 
+@st.composite
+def nearly_touching_cases(draw):
+    """1-d configurations whose observation lies 1 to 8 ulps above the lower
+    antecedent at every point, and whose upper antecedent lies 1 to 8 ulps
+    above the observation."""
+    def nudged(points):
+        for _ in range(draw(st.integers(min_value=1, max_value=8))):
+            points = [math.nextafter(x, math.inf) for x in points]
+        return points
+
+    lows = sorted(draw(st.tuples(*[st.floats(min_value=-1e3, max_value=1e3)] * 4)))
+    observed = nudged(lows)
+    ups = nudged(observed)
+    b1, b2 = (TrapezoidSet(*sorted(draw(st.tuples(*[st.floats(min_value=-1, max_value=1)] * 4))))
+              for _ in range(2))
+    return (Rule((TrapezoidSet(*lows),), b1), Rule((TrapezoidSet(*ups),), b2),
+            Observation((TrapezoidSet(*observed),)))
+
+
+@st.composite
+def subnormal_spaced_cases(draw):
+    """1-d configurations whose sets lie a few smallest subnormals apart."""
+    tiny = 5e-324
+    step = st.integers(min_value=1, max_value=5)
+    lows = sorted(draw(st.integers(min_value=0, max_value=20)) * tiny for _ in range(4))
+    observed = sorted(x + draw(step) * tiny for x in lows)
+    ups = sorted(x + draw(step) * tiny for x in observed)
+    b1, b2 = (TrapezoidSet(*sorted(draw(st.tuples(*[st.floats(min_value=-1, max_value=1)] * 4))))
+              for _ in range(2))
+    return (Rule((TrapezoidSet(*lows),), b1), Rule((TrapezoidSet(*ups),), b2),
+            Observation((TrapezoidSet(*observed),)))
+
+
+# the inf side's gaps are one smallest subnormal, the sup side's reach 1: a
+# single scale for both sides would leave the inf side's interpolated gaps to
+# underflow to zero
+SIDE_SCALES_CASE = (
+    Rule((TrapezoidSet(0, 0, 0, 5),), TrapezoidSet(1, 2, 3, 4)),
+    Rule((TrapezoidSet(1e-323, 1e-323, 1e-323, 7),), TrapezoidSet(6, 7, 8, 9)),
+    Observation((TrapezoidSet(5e-324, 5e-324, 5e-324, 6),)),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(profile_cases(dimensions=st.just(1)), nearly_touching_cases(),
+                 subnormal_spaced_cases()),
+       st.sampled_from((2, 3, 11, 101)))
+@example(SIDE_SCALES_CASE, 11)
+def test_profile_stays_within_ulps_of_the_exact_profile_in_one_dimension(case, n_levels):
+    lower, upper, obs = case
+    profile = kh_alpha_profile(lower, upper, obs, n_levels)
+    # each endpoint is a weighted mean of consequent cut endpoints
+    ulp = math.ulp(max(abs(b) for rule in (lower, upper) for b in rule.consequent.points()))
+    got = (profile.infs.tolist(), profile.sups.tolist())
+    for g, want in zip(got, exact_profile(lower, upper, obs, profile.levels.tolist())):
+        assert max(abs(Fraction(x) - y) for x, y in zip(g, want)) <= 4 * ulp
+
+
 # The CLI sweeps with _sweep_in_floats, which repeats sweep_oracle in plain
 # floats. Both get the same cases as the profile test above, plus these.
 T = TrapezoidSet
-# zero-width consequents at -0.0: each cut's lower endpoint ties the computed
-# -0.0 + 0.0 = +0.0 with a2 = -0.0, and np.minimum returns the computed +0.0
+# consequents (0.0, -0.0, -0.0, -0.0): every cut's lower endpoint is the
+# computed 0.0 * (1 - α) + -0.0 * α = +0.0, which ties a2 = -0.0, and
+# np.minimum returns the computed +0.0; the upper endpoints are all -0.0, so
+# the gap is -0.0 only if the tie went to the computed value
 NEGATIVE_ZERO_CASE = (
-    Rule((T(0, 1, 2, 3),), T(-0.0, -0.0, -0.0, -0.0)),
-    Rule((T(10, 11, 12, 13),), T(-0.0, -0.0, -0.0, -0.0)),
+    Rule((T(0, 1, 2, 3),), T(0.0, -0.0, -0.0, -0.0)),
+    Rule((T(10, 11, 12, 13),), T(0.0, -0.0, -0.0, -0.0)),
     Observation((T(4, 5, 6, 7),)),
 )
 # the benchmark's case 6, whose inverted levels from 0.7000000000000001 on
@@ -436,6 +496,35 @@ DISTANT_SCALES_CASE = (
 )
 
 
+CONSEQUENTS = (T(1, 2, 3, 4), T(6, 7, 8, 9))
+# the observation one ulp above the lower antecedent and the upper one ulp
+# above it: cut endpoints rounded set by set would round onto each other at
+# some of 11 levels, and the gaps between them would be zero
+NEAR = T(0.3, 3.3, 6.3, 9.3)
+NEARER = T(0.30000000000000004, 3.3000000000000003, 6.300000000000001, 9.300000000000002)
+NEAREST = T(0.3000000000000001, 3.3000000000000007, 6.300000000000002, 9.300000000000004)
+# the lower antecedent's a2 - a1 overflows, so a cut of that set would be nan
+# at level 0; the gaps between the sets do not overflow
+SPAN_OVERFLOW = (T(-1.7e308, 1e308, 1.1e308, 1.2e308), T(0, 1.6e308, 1.65e308, 1.7e308),
+                 T(-1e308, 1.3e308, 1.4e308, 1.5e308))
+# two dimensions: in the first, the upper antecedent's a4 - a3 overflows, so
+# a cut of that set would be nan at level 0, and at level 1/2 all three sup
+# cuts would round to -7.250000000000001e307; in the second, the sets lie
+# 1e-300 apart
+NAN_END_DISTANCE = (
+    (T(-1.75e308, -1.75e308, -1.5000000000000002e308, 4.999999999999998e306), T(0, 0, 0, 0)),
+    (T(-1.65e308, -1.65e308, -7.250000000000001e307, 1.7976931348623157e308),
+     T(*[2e-300] * 4)),
+    (T(-1.7e308, -1.7e308, -1.5e308, 5e306), T(*[1e-300] * 4)),
+)
+# the gap from the lower antecedent to the observation itself overflows
+GAP_OVERFLOW = (T(*[-1e308] * 4), T(*[1.5e308] * 4), T(*[1e308] * 4))
+
+
+def flanked(lows, ups, observed):
+    return Rule(lows, CONSEQUENTS[0]), Rule(ups, CONSEQUENTS[1]), Observation(observed)
+
+
 def sweep_outcome(sweep, lower, upper, obs, n_levels):
     """The sweep's result, or the type and message of the error it raised."""
     try:
@@ -449,6 +538,8 @@ def sweep_outcome(sweep, lower, upper, obs, n_levels):
 @example(NEGATIVE_ZERO_CASE, 11)
 @example(CORE_INVERSION_CASE, 11)
 @example(DISTANT_SCALES_CASE, 11)
+@example(flanked((NEAR,), (NEAREST,), (NEARER,)), 11)
+@example(flanked(*[(s,) for s in SPAN_OVERFLOW]), 11)
 def test_float_sweep_has_the_bits_of_sweep_oracle_in_one_dimension(case, n_levels):
     assert repr(_sweep_in_floats(*case, n_levels)) == repr(sweep_oracle(*case, n_levels))
 
@@ -457,6 +548,7 @@ def test_float_sweep_has_the_bits_of_sweep_oracle_in_one_dimension(case, n_level
 @given(profile_cases(dimensions=st.integers(min_value=2, max_value=3)),
        st.sampled_from((2, 3, 11, 101, 1001)))
 @example(SUBNORMAL_3D_CASE, 11)
+@example(flanked(*NAN_END_DISTANCE), 3)
 def test_float_sweep_matches_sweep_oracle_across_dimensions(case, n_levels):
     got, want = (sweep(*case, n_levels) for sweep in (_sweep_in_floats, sweep_oracle))
     assert (got.inf_monotone, got.sup_monotone, got.abnormal_levels) == (
@@ -469,33 +561,6 @@ def test_float_sweep_matches_sweep_oracle_across_dimensions(case, n_levels):
     assert abs(got.min_gap - want.min_gap) <= 4 * ulp
 
 
-CONSEQUENTS = (T(1, 2, 3, 4), T(6, 7, 8, 9))
-# the observation one ulp above the lower antecedent and the upper one ulp
-# above it: their cut endpoints round onto each other at some of 11 levels
-NEAR = T(0.3, 3.3, 6.3, 9.3)
-NEARER = T(0.30000000000000004, 3.3000000000000003, 6.300000000000001, 9.300000000000002)
-NEAREST = T(0.3000000000000001, 3.3000000000000007, 6.300000000000002, 9.300000000000004)
-# the lower antecedent's a2 - a1 overflows, so its cut at level 0 is nan
-SPAN_OVERFLOW = (T(-1.7e308, 1e308, 1.1e308, 1.2e308), T(0, 1.6e308, 1.65e308, 1.7e308),
-                 T(-1e308, 1.3e308, 1.4e308, 1.5e308))
-# two dimensions: in the first, the upper antecedent's a4 - a3 overflows, so
-# its sup cut at level 0 is nan, and at level 1/2 all three sup cuts round to
-# -7.250000000000001e307; in the second, the sets lie 1e-300 apart. So the
-# sup distances at level 1/2 are the 1e-300 of the second dimension alone,
-# which that level's own scale keeps above zero, and the nan endpoint at
-# level 0 decides: a DomainError, not a ZeroSpan.
-NAN_END_DISTANCE = (
-    (T(-1.75e308, -1.75e308, -1.5000000000000002e308, 4.999999999999998e306), T(0, 0, 0, 0)),
-    (T(-1.65e308, -1.65e308, -7.250000000000001e307, 1.7976931348623157e308),
-     T(*[2e-300] * 4)),
-    (T(-1.7e308, -1.7e308, -1.5e308, 5e306), T(*[1e-300] * 4)),
-)
-
-
-def flanked(lows, ups, observed):
-    return Rule(lows, CONSEQUENTS[0]), Rule(ups, CONSEQUENTS[1]), Observation(observed)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "case, n_levels, error",
@@ -504,12 +569,9 @@ def flanked(lows, ups, observed):
         (flanked((NEAR,), (NEAREST,), (NEARER,)), 0, "DomainError"),
         (flanked((NEAR,), (NEAREST,), (NEARER,)), -3, "DomainError"),
         (flanked((NEAREST,), (NEAR,), (NEARER,)), 11, "OrderingViolation"),
-        (flanked((NEAR,), (NEAREST,), (NEARER,)), 11, "ZeroSpan"),
-        (flanked(*[(s,) for s in SPAN_OVERFLOW]), 11, "DomainError"),
-        (flanked(*NAN_END_DISTANCE), 3, "DomainError"),
+        (flanked(*[(s,) for s in GAP_OVERFLOW]), 11, "DomainError"),
     ],
-    ids=["1-level", "0-levels", "-3-levels", "unflanked", "coinciding-antecedents",
-         "span-overflow", "nan-end-distance"],
+    ids=["1-level", "0-levels", "-3-levels", "unflanked", "gap-overflow"],
 )
 def test_float_sweep_fails_like_sweep_oracle(case, n_levels, error):
     want = sweep_outcome(sweep_oracle, *case, n_levels)
