@@ -21,6 +21,7 @@ from .interpolate import (
     Observation,
     Rule,
     RuleBase,
+    _at_most,
     _cut_ends,
     _weighted_mean,
     kh_alpha_profile,
@@ -155,9 +156,10 @@ class SweepOracleResult:
 
     ``min_gap`` is the smallest ``sup - inf`` across levels (ties resolved
     toward the highest level in ``gap_argmin``); ``abnormal_levels`` lists
-    levels with an inverted interval. The monotonicity flags check the
-    nesting of the swept intervals: a conclusion is abnormal when a level
-    inverts or when nesting fails, which is what :attr:`abnormal` reports.
+    levels whose ``inf`` is not at most their ``sup``. The monotonicity flags
+    check nesting: each ``inf`` at most the next, each ``sup`` at least the
+    next, all by :func:`~fri_lab.interpolate._at_most`. A conclusion is
+    abnormal when a level inverts or nesting fails, as :attr:`abnormal` says.
     """
 
     min_gap: float
@@ -168,11 +170,7 @@ class SweepOracleResult:
 
     @property
     def abnormal(self) -> bool:
-        return (
-            self.min_gap < -TOL
-            or not self.inf_monotone
-            or not self.sup_monotone
-        )
+        return bool(self.abnormal_levels) or not (self.inf_monotone and self.sup_monotone)
 
 
 @frozen
@@ -487,22 +485,17 @@ def sweep_oracle(
     interval inverts (negative gap) or when the interval family is not
     nested (an endpoint curve runs the wrong way).
     """
-    import numpy as np
-
     profile = kh_alpha_profile(r1, r2, obs, n_levels=n_levels)
     gaps = profile.sups - profile.infs
     min_raw = float(gaps.min())
     # near-ties resolve toward the highest level, where inversions concentrate
-    idx = int(np.nonzero(gaps <= min_raw + TOL)[0][-1])
-    inf_steps = np.diff(profile.infs)
-    sup_steps = np.diff(profile.sups)
-    abnormal_levels = tuple(profile.levels[gaps < -TOL].tolist())
+    idx = int(_at_most(gaps, min_raw).nonzero()[0][-1])
     return SweepOracleResult(
         min_gap=min_raw,
         gap_argmin=float(profile.levels[idx]),
-        inf_monotone=bool((inf_steps >= -TOL).all()),
-        sup_monotone=bool((sup_steps <= TOL).all()),
-        abnormal_levels=abnormal_levels,
+        inf_monotone=bool(_at_most(profile.infs[:-1], profile.infs[1:]).all()),
+        sup_monotone=bool(_at_most(profile.sups[1:], profile.sups[:-1]).all()),
+        abnormal_levels=tuple(profile.levels[~_at_most(profile.infs, profile.sups)].tolist()),
     )
 
 
@@ -546,13 +539,15 @@ def _sweep_in_floats(
 
     gaps = list(map(operator.sub, sups, infs))
     min_raw = min(gaps)
-    idx = max(i for i, gap in enumerate(gaps) if gap <= min_raw + TOL)
+    idx = max(i for i, gap in enumerate(gaps) if _at_most(gap, min_raw))
     return SweepOracleResult(
         min_gap=min_raw,
         gap_argmin=levels[idx],
-        inf_monotone=all(b - a >= -TOL for a, b in zip(infs, infs[1:])),
-        sup_monotone=all(b - a <= TOL for a, b in zip(sups, sups[1:])),
-        abnormal_levels=tuple(level for level, gap in zip(levels, gaps) if gap < -TOL),
+        inf_monotone=all(map(_at_most, infs, infs[1:])),
+        sup_monotone=all(map(_at_most, sups[1:], sups)),
+        abnormal_levels=tuple(
+            level for level, inf, sup in zip(levels, infs, sups) if not _at_most(inf, sup)
+        ),
     )
 
 

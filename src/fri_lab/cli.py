@@ -65,6 +65,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.case is not None:
         cases = tuple(c for c in cases if c.case_id == args.case)
     results = [run_case(c) for c in cases]
+    # the sweeps and the CSV write, which can fail, run before the first line is printed
+    out = []
     rows = []
     n_passed = 0
     for case, result in zip(cases, results):
@@ -79,10 +81,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             # a sweep that contradicts the verdict fails the case
             passed = passed and agrees
         n_passed += passed
-        print(f"Case {case.case_id} ({case.name}): {'pass' if passed else 'FAIL'}")
+        out.append(f"Case {case.case_id} ({case.name}): {'pass' if passed else 'FAIL'}")
         computed = report.points.as_tuple()
         dev = max(abs(c - e) for c, e in zip(computed, case.expected_points))
-        print(
+        out.append(
             f"  points computed={_fmt_points(computed, args.decimals)} "
             f"expected={_fmt_points(case.expected_points, args.decimals)} "
             f"max|dev|={_fmt(dev, args.decimals)}"
@@ -101,12 +103,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 )
             )
             if not check.passed:
-                print(
+                out.append(
                     f"  MISMATCH {seg}/{check.name}: computed={check.computed} "
                     f"expected={check.expected}"
                 )
         for seg, diag in report.lengths.items():
-            print(
+            out.append(
                 f"  {seg.name:4} {diag.path.value:15} "
                 f"lengths ({_fmt(diag.length1, args.decimals)}, "
                 f"{_fmt(diag.length2, args.decimals)}) "
@@ -114,7 +116,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"(expected {case.expected_segments[seg].verdict.value})"
             )
         if oracle is not None:
-            print(
+            out.append(
                 f"  sweep({args.sweep}): min_gap={_fmt(oracle.min_gap, args.decimals)} "
                 f"at level {_fmt(oracle.gap_argmin, args.decimals)}, "
                 f"nested={'yes' if oracle.inf_monotone and oracle.sup_monotone else 'no'}, "
@@ -124,15 +126,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for ref in result.references:
             if ref.computed_points is None:
                 shown = ref.note or _fmt_points(ref.expected_points, args.decimals)
-                print(f"  reference {ref.method}: {ref.label} {shown} (reference only)")
+                out.append(f"  reference {ref.method}: {ref.label} {shown} (reference only)")
             else:
-                print(
+                out.append(
                     f"  reference {ref.method}: {ref.label} "
                     f"{_fmt_points(ref.expected_points, args.decimals)} "
                     f"computed {_fmt_points(ref.computed_points, args.decimals)} "
                     f"{'pass' if ref.passed else 'FAIL'}"
                 )
-    print(f"{n_passed}/{len(results)} cases passed")
+    out.append(f"{n_passed}/{len(results)} cases passed")
     if args.csv:
         import csv
 
@@ -142,7 +144,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 ("case_id", "segment", "metric", "computed", "expected", "deviation", "pass")
             )
             writer.writerows(rows)
-        print(f"wrote {len(rows)} rows to {args.csv}")
+        out.append(f"wrote {len(rows)} rows to {args.csv}")
+    print("\n".join(out))
     return 0 if n_passed == len(results) else 1
 
 

@@ -12,7 +12,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Iterator
 
 from ._frozen import frozen
@@ -36,9 +36,19 @@ __all__ = [
     "assemble_conclusion",
 ]
 
-#: Absolute tolerance for every verdict, monotonicity and equality check on
-#: computed values (not for comparisons with rounded published values).
+#: Absolute tolerance of :func:`_at_most` and :func:`_close`, which decide every verdict,
+#: order, nesting and equality test on computed values (not those against published values).
 TOL = 1e-9
+
+
+def _at_most(a, b):
+    """Whether ``a <= b`` within :data:`TOL`; elementwise on numpy arrays."""
+    return a <= b + TOL
+
+
+def _close(a, b):
+    """Whether ``a == b`` within :data:`TOL`."""
+    return abs(a - b) <= TOL
 
 
 @frozen
@@ -438,14 +448,11 @@ def khstab_points(rb: RuleBase, obs: Observation) -> ConclusionPoints:
 def assemble_conclusion(p: ConclusionPoints) -> TrapezoidSet | GradedPointList:
     """Turn raw conclusion points into a fuzzy set, or keep them raw.
 
-    Monotone points (within :data:`TOL`) become a :class:`TrapezoidSet`; any
-    inversion yields the raw traversal as a :class:`GradedPointList` so the
-    abnormal shape stays visible.
+    Points each at most the next by :func:`_at_most` become a :class:`TrapezoidSet`
+    (a dip within the tolerance is raised to the running maximum); any inversion
+    yields the raw traversal as a :class:`GradedPointList`, so it stays visible.
     """
     y = p.as_tuple()
-    if all(y[k] <= y[k + 1] + TOL for k in range(3)):
-        mono = [y[0]]
-        for v in y[1:]:
-            mono.append(max(mono[-1], v))
-        return TrapezoidSet(*mono)
+    if all(map(_at_most, y, y[1:])):
+        return TrapezoidSet(*accumulate(y, max))
     return GradedPointList(((y[0], 0.0), (y[1], 1.0), (y[2], 1.0), (y[3], 0.0)))

@@ -14,7 +14,8 @@ from typing import Mapping
 
 from ._frozen import frozen
 from .errors import DimensionError
-from .interpolate import TOL, ConclusionPoints, Observation, Rule, kh_characteristic_points
+from .interpolate import (ConclusionPoints, Observation, Rule, _at_most, _close,
+                          kh_characteristic_points)
 
 __all__ = [
     "Segment",
@@ -94,11 +95,11 @@ class SegmentParams:
 
     @property
     def uniform_a(self) -> bool:
-        return abs(self.ka1 - self.ka2) <= TOL
+        return _close(self.ka1, self.ka2)
 
     @property
     def uniform_b(self) -> bool:
-        return abs(self.kb1 - self.kb2) <= TOL
+        return _close(self.kb1, self.kb2)
 
 
 @frozen
@@ -164,11 +165,12 @@ def length_condition(p: SegmentParams) -> LengthDiagnostics:
     segment lengths the shortcut forms apply (one for a zero-length
     observation segment, one otherwise); any non-uniformity falls back to
     the general products-of-sums form. The verdict is NORMAL when
-    ``length1 <= length2`` within :data:`TOL`; equality counts as normal.
+    ``length1`` is at most ``length2`` by the tolerance rule
+    :func:`~fri_lab.interpolate._at_most`; equality counts as normal.
     """
     if p.uniform_a and p.uniform_b:
         length1 = p.db * (p.ka1 - p.kastar)
-        if abs(p.kastar) > TOL:
+        if not _close(p.kastar, 0.0):
             path = ConditionPath.UNIFORM_NONZERO
             length2 = p.kb1 * (p.da1 + p.da2 + 2.0 * p.kastar)
         else:
@@ -184,7 +186,7 @@ def length_condition(p: SegmentParams) -> LengthDiagnostics:
         length2 = (p.ka1 + p.da1) * (p.da1 + p.kastar) * p.kb2 + (
             p.ka2 + p.da2
         ) * (p.da2 + p.kastar) * p.kb1
-    verdict = Verdict.NORMAL if length1 <= length2 + TOL else Verdict.PROBLEM
+    verdict = Verdict.NORMAL if _at_most(length1, length2) else Verdict.PROBLEM
     return LengthDiagnostics(path, length1, length2, verdict)
 
 
@@ -201,7 +203,7 @@ def ratio_condition(p: SegmentParams) -> RatioDiagnostics:
         return RatioDiagnostics(None, None, Verdict.UNDEFINED)
     ratio1 = p.db / p.da_gap
     ratio2 = p.da_gap / den2
-    verdict = Verdict.NORMAL if ratio1 <= ratio2 + TOL else Verdict.PROBLEM
+    verdict = Verdict.NORMAL if _at_most(ratio1, ratio2) else Verdict.PROBLEM
     return RatioDiagnostics(ratio1, ratio2, verdict)
 
 
@@ -219,15 +221,15 @@ def classify_case(params: Mapping[Segment, SegmentParams]) -> frozenset[CaseTag]
     segments = params.values()
     uniform_a = all(p.uniform_a for p in segments)
     uniform_b = all(p.uniform_b for p in segments)
-    if uniform_a and all(p.kastar >= p.ka1 - TOL for p in segments):
+    if uniform_a and all(_at_most(p.ka1, p.kastar) for p in segments):
         tags.add(CaseTag.CASE1)
     if uniform_a and uniform_b:
-        if all(abs(p.ka1 - p.kb1) <= TOL for p in segments):
+        if all(_close(p.ka1, p.kb1) for p in segments):
             tags.add(CaseTag.CASE2)
-        elif all(p.kb1 > p.ka1 + TOL for p in segments):
+        elif all(not _at_most(p.kb1, p.ka1) for p in segments):
             tags.add(CaseTag.CASE3)
     core = params[Segment.CORE]
-    if core.uniform_a and core.uniform_b and core.ka1 > TOL and core.kb1 > TOL:
+    if core.uniform_a and core.uniform_b and not _at_most(min(core.ka1, core.kb1), 0.0):
         tags.add(CaseTag.COROLLARY4)
     return frozenset(tags)
 
@@ -236,7 +238,7 @@ def direct_normality(p: ConclusionPoints) -> dict[Segment, Verdict]:
     """Per-segment verdicts read directly off the conclusion points."""
     y = p.as_tuple()
     return {
-        seg: (Verdict.NORMAL if y[i] <= y[j] + TOL else Verdict.PROBLEM)
+        seg: (Verdict.NORMAL if _at_most(y[i], y[j]) else Verdict.PROBLEM)
         for seg, (i, j) in _SEGMENT_INDICES.items()
     }
 

@@ -1,8 +1,11 @@
 import pytest
 
 from fri_lab import (
+    CaseTag,
     Segment,
+    TrapezoidSet,
     Verdict,
+    assemble_conclusion,
     builtin_cases,
     compare_reference,
     extract_segment_params,
@@ -11,7 +14,7 @@ from fri_lab import (
     run_case,
     sweep_oracle,
 )
-from fri_lab.benchmark import PRINTED_TOL
+from fri_lab.benchmark import PRINTED_TOL, _sweep_in_floats
 from fri_lab.interpolate import TOL
 
 
@@ -209,6 +212,23 @@ class TestSweepOracle:
                 oracle = sweep_oracle(c.rule_lower, c.rule_upper, c.observation)
                 assert oracle.inf_monotone and oracle.sup_monotone
                 assert oracle.min_gap >= -1e-9
+
+
+def test_every_tie_reads_the_tolerance_rule(monkeypatch):
+    # case 9 is PROBLEM on every segment, with no tag: its points fall all
+    # the way and its lengths miss by up to 27. A tolerance of 100 forgives
+    # that, and every test that decides by the rule has to see it
+    monkeypatch.setattr("fri_lab.interpolate.TOL", 100.0)
+    c = case(9)
+    report = full_report(c.rule_lower, c.rule_upper, c.observation)
+    assert all(d.verdict is Verdict.NORMAL for d in report.lengths.values())
+    assert all(d.verdict is Verdict.NORMAL for d in report.ratios.values())
+    assert all(v is Verdict.NORMAL for v in report.direct.values())
+    assert report.overall is Verdict.NORMAL
+    assert report.tags == {CaseTag.CASE1, CaseTag.CASE2}
+    assert isinstance(assemble_conclusion(report.points), TrapezoidSet)
+    for sweep in (sweep_oracle, _sweep_in_floats):
+        assert not sweep(c.rule_lower, c.rule_upper, c.observation, 11).abnormal
 
 
 class TestCompareReference:

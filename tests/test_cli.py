@@ -99,6 +99,12 @@ class TestBench:
         golden = Path(__file__).resolve().parent / "bench_golden.csv"
         assert target.read_bytes() == golden.read_bytes()
 
+    def test_csv_into_a_missing_directory_prints_no_partial_report(self, tmp_path, capsys):
+        assert main(["bench", "--csv", str(tmp_path / "missing" / "report.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_sweep_flag_reports_agreement(self, capsys):
         assert main(["bench", "--case", "7", "--sweep", "101"]) == 0
         out = capsys.readouterr().out

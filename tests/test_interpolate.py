@@ -21,6 +21,7 @@ from fri_lab.errors import (
     NotFlanked,
     OrderingViolation,
 )
+from fri_lab.interpolate import TOL, _at_most, _close
 
 from genutil import random_flanked_config
 
@@ -415,6 +416,31 @@ class TestAssembleConclusion:
         shape = assemble_conclusion(ConclusionPoints(1.0, 1.0 + 1e-12, 1.0, 2.0))
         assert isinstance(shape, TrapezoidSet)
         assert shape.a2 <= shape.a3
+
+
+class TestToleranceRule:
+    # rows of (a, b, _at_most(a, b), _close(a, b)) at and just past a tie;
+    # one term is 0, so the sums and differences the rule forms are exact
+    CASES = [
+        (-2 * TOL, 0.0, True, False),
+        (-TOL, 0.0, True, True),
+        (TOL, 0.0, True, True),
+        (2 * TOL, 0.0, False, False),
+        (0.0, TOL, True, True),
+        (0.0, -TOL, True, True),
+        (0.0, -2 * TOL, False, False),
+    ]
+
+    @pytest.mark.parametrize("a, b, at_most, close", CASES)
+    def test_floats(self, a, b, at_most, close):
+        assert _at_most(a, b) is at_most
+        assert _close(a, b) is close
+
+    def test_arrays_elementwise(self):
+        np = pytest.importorskip("numpy")
+        a, b, at_most, close = (np.array(column) for column in zip(*self.CASES))
+        assert (_at_most(a, b) == at_most).all()
+        assert (_close(a, b) == close).all()
 
 
 def test_boundary_collapse_toward_lower_rule():
