@@ -21,10 +21,10 @@ _EXPORTS = {
         "precedes",
     ),
     "interpolate": (
-        "Rule", "RuleBase", "Observation", "ConclusionPoints", "AlphaProfile",
-        "select_flanking", "kh_characteristic_points", "kh_alpha_profile", "khstab_points",
-        "assemble_conclusion",
+        "Rule", "RuleBase", "Observation", "ConclusionPoints", "select_flanking",
+        "kh_characteristic_points", "khstab_points", "assemble_conclusion",
     ),
+    "profile": ("AlphaProfile", "SweepOracleResult", "kh_alpha_profile", "sweep_oracle"),
     "normality": (
         "Segment", "Verdict", "ConditionPath", "CaseTag", "SegmentParams",
         "LengthDiagnostics", "RatioDiagnostics", "NormalityReport", "extract_segment_params",
@@ -33,8 +33,8 @@ _EXPORTS = {
     ),
     "benchmark": (
         "BenchmarkCase", "ExpectedSegment", "ReferenceRow", "ReferenceComparison",
-        "CheckResult", "CaseReport", "BenchmarkReport", "SweepOracleResult", "builtin_cases",
-        "run_case", "run_all", "sweep_oracle", "compare_reference",
+        "CheckResult", "CaseReport", "BenchmarkReport", "builtin_cases", "run_case",
+        "run_all", "compare_reference",
     ),
     "rulebase_io": (
         "FORMAT_VERSION", "RuleBaseDocument", "load_document", "save_document", "to_rulebase",

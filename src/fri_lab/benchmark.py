@@ -4,27 +4,18 @@ Cases 1-5 produce normal conclusions, cases 6-9 provoke an inversion on at
 least one segment. Expected conclusion points, length/ratio diagnostics and
 verdicts are frozen from the published tables; two inputs (cases 5 and 9)
 are reconstructed because the printed rows are internally inconsistent, and
-each case records its provenance. The module also provides a dense cut-level
-sweep that serves as an independent abnormality oracle.
+each case records its provenance.
 """
 from __future__ import annotations
 
-import math
-import operator
-from functools import reduce
 from typing import Iterable, Mapping
 
 from ._frozen import frozen
-from .errors import DomainError, ZeroSpan
 from .interpolate import (
     TOL,
     Observation,
     Rule,
     RuleBase,
-    _at_most,
-    _cut_ends,
-    _weighted_mean,
-    kh_alpha_profile,
     kh_characteristic_points,
     khstab_points,
 )
@@ -38,13 +29,11 @@ __all__ = [
     "CheckResult",
     "CaseReport",
     "BenchmarkReport",
-    "SweepOracleResult",
     "ReferenceComparison",
     "PRINTED_TOL",
     "builtin_cases",
     "run_case",
     "run_all",
-    "sweep_oracle",
     "compare_reference",
 ]
 
@@ -148,29 +137,6 @@ class BenchmarkReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.case_reports)
-
-
-@frozen
-class SweepOracleResult:
-    """Aggregated dense-sweep diagnostics.
-
-    ``min_gap`` is the smallest ``sup - inf`` across levels (ties resolved
-    toward the highest level in ``gap_argmin``); ``abnormal_levels`` lists
-    levels whose ``inf`` is not at most their ``sup``. The monotonicity flags
-    check nesting: each ``inf`` at most the next, each ``sup`` at least the
-    next, all by :func:`~fri_lab.interpolate._at_most`. A conclusion is
-    abnormal when a level inverts or nesting fails, as :attr:`abnormal` says.
-    """
-
-    min_gap: float
-    gap_argmin: float
-    inf_monotone: bool
-    sup_monotone: bool
-    abnormal_levels: tuple[float, ...]
-
-    @property
-    def abnormal(self) -> bool:
-        return bool(self.abnormal_levels) or not (self.inf_monotone and self.sup_monotone)
 
 
 @frozen
@@ -473,82 +439,6 @@ def run_case(case: BenchmarkCase) -> CaseReport:
 def run_all() -> BenchmarkReport:
     """Run every embedded case, ordered by case id."""
     return BenchmarkReport(tuple(run_case(c) for c in builtin_cases()))
-
-
-def sweep_oracle(
-    r1: Rule, r2: Rule, obs: Observation, n_levels: int = 1001
-) -> SweepOracleResult:
-    """Dense sweep over cut levels, summarising gaps and nesting.
-
-    Independent of the segment diagnostics: it looks only at the sampled
-    interval endpoints. A conclusion is flagged abnormal when some level's
-    interval inverts (negative gap) or when the interval family is not
-    nested (an endpoint curve runs the wrong way).
-    """
-    profile = kh_alpha_profile(r1, r2, obs, n_levels=n_levels)
-    gaps = profile.sups - profile.infs
-    min_raw = float(gaps.min())
-    # near-ties resolve toward the highest level, where inversions concentrate
-    idx = int(_at_most(gaps, min_raw).nonzero()[0][-1])
-    return SweepOracleResult(
-        min_gap=min_raw,
-        gap_argmin=float(profile.levels[idx]),
-        inf_monotone=bool(_at_most(profile.infs[:-1], profile.infs[1:]).all()),
-        sup_monotone=bool(_at_most(profile.sups[1:], profile.sups[:-1]).all()),
-        abnormal_levels=tuple(profile.levels[~_at_most(profile.infs, profile.sups)].tolist()),
-    )
-
-
-def _sweep_in_floats(
-    lower: Rule, upper: Rule, obs: Observation, n_levels: int
-) -> SweepOracleResult:
-    """:func:`sweep_oracle` in plain floats, so that a CLI call does not import numpy.
-
-    It repeats :func:`~fri_lab.interpolate.kh_alpha_profile` and the summary
-    step by step from the same curve ends, with the same checks in the same
-    order, the levels of ``np.linspace``, and the kernel clamps of
-    ``np.minimum`` and ``np.maximum``, which keep the computed value on a
-    tie or a nan. So in one dimension every result has the library's bits;
-    across several, ``math.hypot`` may differ from ``np.hypot`` in the last
-    bit. A 1001-level sweep takes a few milliseconds this way, against well
-    under one with numpy, so only the CLI, which would pay for numpy's
-    import, calls this.
-    """
-    if n_levels < 2:
-        raise DomainError(f"need at least 2 levels, got {n_levels}")
-    step = 1.0 / (n_levels - 1)
-    levels = [i * step for i in range(n_levels)]
-    levels[-1] = 1.0
-    rests = [1.0 - level for level in levels]
-
-    k = obs.dimension
-    means = []
-    for ends, past in zip(_cut_ends(lower, upper, obs), (operator.gt, operator.lt)):
-        curves = [[g0 * r + g1 * level for r, level in zip(rests, levels)] for g0, g1 in ends]
-        b1, b2 = ([kernel if past(x, kernel) else x for x in curve]
-                  for (_, kernel), curve in zip(ends[-2:], curves[-2:]))
-        # the distances to the lower and to the upper flank, in np.hypot's reduce order
-        d1, d2 = (reduce(lambda norm, gap: list(map(math.hypot, norm, gap)), flank[1:], flank[0])
-                  for flank in (curves[:k], curves[k:-2]))
-        means.append(list(map(_weighted_mean, d1, d2, b1, b2)))
-    infs, sups = means
-    if None in infs or None in sups:
-        raise ZeroSpan("flanking antecedents coincide at some level")
-    if not all(map(math.isfinite, infs + sups)):
-        raise DomainError("profile endpoints must be finite")
-
-    gaps = list(map(operator.sub, sups, infs))
-    min_raw = min(gaps)
-    idx = max(i for i, gap in enumerate(gaps) if _at_most(gap, min_raw))
-    return SweepOracleResult(
-        min_gap=min_raw,
-        gap_argmin=levels[idx],
-        inf_monotone=all(map(_at_most, infs, infs[1:])),
-        sup_monotone=all(map(_at_most, sups[1:], sups)),
-        abnormal_levels=tuple(
-            level for level, inf, sup in zip(levels, infs, sups) if not _at_most(inf, sup)
-        ),
-    )
 
 
 def compare_reference(case: BenchmarkCase) -> tuple[ReferenceComparison, ...]:

@@ -59,7 +59,7 @@ def _print_verdict_block(report, decimals: int) -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .benchmark import _sweep_in_floats, builtin_cases, run_case
+    from .benchmark import builtin_cases, run_case
 
     cases = builtin_cases()
     if args.case is not None:
@@ -74,6 +74,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         passed = result.passed
         oracle = None
         if args.sweep is not None:
+            from .profile import _sweep_in_floats
+
             oracle = _sweep_in_floats(
                 case.rule_lower, case.rule_upper, case.observation, args.sweep
             )
@@ -179,7 +181,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
             points = kh_characteristic_points(lower, upper, observation)
     oracle = None
     if args.sweep is not None:
-        from .benchmark import _sweep_in_floats
+        from .profile import _sweep_in_floats
 
         oracle = _sweep_in_floats(lower, upper, observation, args.sweep)
     print(f"method: {args.method}")

@@ -2,25 +2,22 @@
 
 The engine interpolates each of the four characteristic points of the
 conclusion as an inverse-distance weighted mean of the flanking consequents'
-points, and can resolve the same construction at any number of cut levels.
-The raw output points are deliberately NOT sorted: non-monotone points are
-the abnormal conclusions the validator in :mod:`fri_lab.normality` detects.
+points; :mod:`fri_lab.profile` resolves the same construction at every cut
+level. The raw output points are deliberately NOT sorted: non-monotone
+points are the abnormal conclusions the validator in
+:mod:`fri_lab.normality` detects.
 """
 from __future__ import annotations
 
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, repeat
-from typing import TYPE_CHECKING, Iterator
 
 from ._frozen import frozen
 from .errors import DimensionError, DomainError, NotFlanked, OrderingViolation, ZeroSpan
 from .sets import GradedPointList, TrapezoidSet, precedes
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "TOL",
@@ -28,10 +25,8 @@ __all__ = [
     "RuleBase",
     "Observation",
     "ConclusionPoints",
-    "AlphaProfile",
     "select_flanking",
     "kh_characteristic_points",
-    "kh_alpha_profile",
     "khstab_points",
     "assemble_conclusion",
 ]
@@ -42,7 +37,7 @@ TOL = 1e-9
 
 
 def _at_most(a, b):
-    """Whether ``a <= b`` within :data:`TOL`; elementwise on numpy arrays."""
+    """Whether ``a <= b`` within :data:`TOL`; elementwise on arrays."""
     return a <= b + TOL
 
 
@@ -196,46 +191,6 @@ class ConclusionPoints:
         return (self.y1, self.y2, self.y3, self.y4)
 
 
-@frozen
-class AlphaProfile:
-    """Sampled cut-level profile of a conclusion.
-
-    ``infs[k]`` and ``sups[k]`` are the interpolated interval endpoints at
-    ``levels[k]``; an inverted pair (inf above sup) marks abnormality at
-    that level. Arrays are read-only.
-    """
-
-    levels: np.ndarray
-    infs: np.ndarray
-    sups: np.ndarray
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        levels = np.asarray(self.levels, dtype=float)
-        infs = np.asarray(self.infs, dtype=float)
-        sups = np.asarray(self.sups, dtype=float)
-        if levels.ndim != 1 or levels.shape != infs.shape or levels.shape != sups.shape:
-            raise DomainError("levels, infs and sups must be 1-d arrays of equal length")
-        if len(levels) < 2 or levels[0] != 0.0 or levels[-1] != 1.0:
-            raise DomainError("levels must run from 0 to 1")
-        if not (levels[1:] > levels[:-1]).all():
-            raise DomainError("levels must be strictly increasing")
-        if not (np.isfinite(infs).all() and np.isfinite(sups).all()):
-            raise DomainError("profile endpoints must be finite")
-        for arr in (levels, infs, sups):
-            arr.setflags(write=False)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "infs", infs)
-        object.__setattr__(self, "sups", sups)
-
-    def __iter__(self) -> Iterator[tuple[float, float, float]]:
-        return iter(zip(self.levels.tolist(), self.infs.tolist(), self.sups.tolist()))
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-
 def _gaps(lower: Rule, upper: Rule, obs: Observation) -> tuple[list[tuple], list[tuple]]:
     """Per dimension, the observation's four gaps to the lower flank (``x - a``)
     and to the upper flank (``u - x``); a gap may overflow to ``inf``.
@@ -263,26 +218,6 @@ def _gaps(lower: Rule, upper: Rule, obs: Observation) -> tuple[list[tuple], list
                 f"observation does not precede the upper antecedent in dimension {d}"
             )
     return below, above
-
-
-def _cut_ends(lower: Rule, upper: Rule, obs: Observation) -> list[list[tuple[float, float]]]:
-    """Per cut side (inf: point 1 to 2, sup: point 4 to 3), every α-profile
-    curve's values at levels 0 and 1: the :func:`_gaps` to the lower flank in
-    every dimension, then to the upper, then the two consequents' points. A
-    side's gaps, when all lie below 1/2, are scaled up by the side's own power
-    of two, lest subnormal gaps lose bits when interpolated; the weights
-    depend only on ratios of distances.
-    """
-    below, above = _gaps(lower, upper, obs)
-    consequents = (lower.consequent.points(), upper.consequent.points())
-    sides = []
-    for start, end in ((0, 1), (3, 2)):
-        ends = [(g[start], g[end]) for g in (*below, *above)]
-        shift = -math.frexp(max(map(max, ends)))[1]
-        if shift > 0:
-            ends = [(math.ldexp(g0, shift), math.ldexp(g1, shift)) for g0, g1 in ends]
-        sides.append(ends + [(b[start], b[end]) for b in consequents])
-    return sides
 
 
 def _require_dimension(rb: RuleBase, obs: Observation) -> None:
@@ -373,40 +308,6 @@ def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> Conc
     if None in values:
         raise ZeroSpan(f"flanking antecedents coincide at point {values.index(None) + 1}")
     return ConclusionPoints(*values)
-
-
-def kh_alpha_profile(
-    lower: Rule, upper: Rule, obs: Observation, n_levels: int = 1001
-) -> AlphaProfile:
-    """Resolve the interpolation at ``n_levels`` equally spaced cut levels.
-
-    Each level's inf and sup are :func:`_weighted_mean` of the consequents'
-    cut endpoints, with Euclidean distances re-evaluated per level. With
-    linear flanks every gap between cut endpoints, and every consequent cut
-    endpoint before it stops at the kernel, is ``(1 - α) * v0 + α * v1`` from
-    its values at levels 0 and 1 (:func:`_cut_ends`). That form is exact at
-    both ends, so in one dimension levels 0 and 1 give KH's points exactly.
-    """
-    import numpy as np
-
-    if n_levels < 2:
-        raise DomainError(f"need at least 2 levels, got {n_levels}")
-    ends = np.array(_cut_ends(lower, upper, obs)).swapaxes(0, 1)
-    levels = np.linspace(0.0, 1.0, n_levels)
-    curves = ends[..., :1] * (1.0 - levels) + ends[..., 1:] * levels
-    # each consequent's cut endpoint stops at its kernel, its value at level 1
-    np.minimum(ends[-2:, 0, 1:], curves[-2:, 0], out=curves[-2:, 0])
-    np.maximum(ends[-2:, 1, 1:], curves[-2:, 1], out=curves[-2:, 1])
-    # the norms of the gaps to the lower and to the upper flank on both cut sides
-    k = obs.dimension
-    gaps = curves[:-2].reshape(2, k, 2, n_levels)
-    dists = reduce(np.hypot, (gaps[:, d] for d in range(1, k)), gaps[:, 0])
-    d1, d2 = np.ldexp(dists, -1 - np.frexp(np.maximum(*dists))[1])
-    spans = d1 + d2
-    if not spans.all():
-        raise ZeroSpan("flanking antecedents coincide at some level")
-    infs, sups = (d2 * curves[-2] + d1 * curves[-1]) / spans
-    return AlphaProfile(levels, infs, sups)
 
 
 def khstab_points(rb: RuleBase, obs: Observation) -> ConclusionPoints:

@@ -7,6 +7,8 @@ conclusion is visibly non-monotone. Output is deterministic byte for byte.
 """
 from __future__ import annotations
 
+import sys
+
 from .interpolate import Observation, Rule
 from .sets import GradedPointList, TrapezoidSet
 
@@ -45,16 +47,30 @@ def _text(x: float, y: float, content: str, color: str = "#222222",
     )
 
 
+def _axis_label(quarter: float) -> str:
+    """An axis end given as a quarter of its abscissa, clamped to the float range."""
+    return _fmt(min(max(quarter * 4, -sys.float_info.max), sys.float_info.max))
+
+
 class _Panel:
-    def __init__(self, left: float, title: str, x_lo: float, x_hi: float):
+    """One panel's horizontal scale over the abscissas ``xs``.
+
+    Every abscissa is divided by 4 before any arithmetic, which is exact for
+    normal floats, so the span and the means of finite abscissas stay finite.
+    ``lo`` and ``hi`` are the padded axis ends, in those quarters.
+    """
+
+    def __init__(self, left: float, title: str, xs: list[float]):
         self.left = left
         self.title = title
-        pad = max(0.05 * (x_hi - x_lo), 0.5)
-        self.x_lo = x_lo - pad
-        self.x_hi = x_hi + pad
+        lo, hi = min(xs) / 4, max(xs) / 4
+        pad = max(0.05 * (hi - lo), 0.125)
+        self.lo = lo - pad
+        self.hi = hi + pad
 
-    def sx(self, x: float) -> float:
-        return self.left + (x - self.x_lo) / (self.x_hi - self.x_lo) * _PANEL_W
+    def sx(self, quarter: float) -> float:
+        """The horizontal position of the abscissa ``4 * quarter``."""
+        return self.left + (quarter - self.lo) / (self.hi - self.lo) * _PANEL_W
 
     def sy(self, grade: float) -> float:
         return _PANEL_TOP + (1.0 - grade) * _PANEL_H
@@ -66,17 +82,19 @@ class _Panel:
             f'<line x1="{_fmt(self.left)}" y1="{_fmt(base)}" '
             f'x2="{_fmt(self.left + _PANEL_W)}" y2="{_fmt(base)}" '
             f'stroke="#888888" stroke-width="1" />',
-            _text(self.left, base + 16, _fmt(self.x_lo), anchor="start", size=10),
-            _text(self.left + _PANEL_W, base + 16, _fmt(self.x_hi), anchor="end", size=10),
+            _text(self.left, base + 16, _axis_label(self.lo), anchor="start", size=10),
+            _text(self.left + _PANEL_W, base + 16, _axis_label(self.hi), anchor="end", size=10),
         ]
 
     def curve(self, points: list[tuple[float, float]], color: str,
               dashed: bool = False, width: float = 1.5) -> str:
-        return _polyline([(self.sx(x), self.sy(g)) for x, g in points], color,
+        return _polyline([(self.sx(x / 4), self.sy(g)) for x, g in points], color,
                          dashed, width)
 
-    def label(self, x: float, text: str, color: str) -> str:
-        return _text(self.sx(x), self.sy(1.0) - 6, text, color=color, size=11)
+    def label(self, xs: list[float], text: str, color: str) -> str:
+        """``text`` above the mean of the abscissas ``xs``."""
+        mean = sum(x / 4 for x in xs) / len(xs)
+        return _text(self.sx(mean), self.sy(1.0) - 6, text, color=color, size=11)
 
 
 def _set_points(s: TrapezoidSet) -> list[tuple[float, float]]:
@@ -100,8 +118,8 @@ def render_interpolation_svg(
     con_xs = [v for s in (b1, b2) for v in s.points()]
     con_xs += [x for x, _ in conclusion]
 
-    antecedent_panel = _Panel(_PANEL_LEFT[0], "antecedents", min(ant_xs), max(ant_xs))
-    consequent_panel = _Panel(_PANEL_LEFT[1], "consequents", min(con_xs), max(con_xs))
+    antecedent_panel = _Panel(_PANEL_LEFT[0], "antecedents", ant_xs)
+    consequent_panel = _Panel(_PANEL_LEFT[1], "consequents", con_xs)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -114,19 +132,19 @@ def render_interpolation_svg(
     parts.append(antecedent_panel.curve(_set_points(a1), _COLORS["lower"]))
     parts.append(antecedent_panel.curve(_set_points(a2), _COLORS["upper"]))
     parts.append(antecedent_panel.curve(_set_points(ob), _COLORS["obs"], dashed=True))
-    parts.append(antecedent_panel.label((a1.a2 + a1.a3) / 2, "A1", _COLORS["lower"]))
-    parts.append(antecedent_panel.label((a2.a2 + a2.a3) / 2, "A2", _COLORS["upper"]))
-    parts.append(antecedent_panel.label((ob.a2 + ob.a3) / 2, "A*", _COLORS["obs"]))
+    parts.append(antecedent_panel.label([a1.a2, a1.a3], "A1", _COLORS["lower"]))
+    parts.append(antecedent_panel.label([a2.a2, a2.a3], "A2", _COLORS["upper"]))
+    parts.append(antecedent_panel.label([ob.a2, ob.a3], "A*", _COLORS["obs"]))
 
     parts.append(consequent_panel.curve(_set_points(b1), _COLORS["lower"]))
     parts.append(consequent_panel.curve(_set_points(b2), _COLORS["upper"]))
     parts.append(consequent_panel.curve(list(conclusion), _COLORS["obs"],
                                         dashed=True, width=2.0))
-    parts.append(consequent_panel.label((b1.a2 + b1.a3) / 2, "B1", _COLORS["lower"]))
-    parts.append(consequent_panel.label((b2.a2 + b2.a3) / 2, "B2", _COLORS["upper"]))
+    parts.append(consequent_panel.label([b1.a2, b1.a3], "B1", _COLORS["lower"]))
+    parts.append(consequent_panel.label([b2.a2, b2.a3], "B2", _COLORS["upper"]))
     peak = [x for x, g in conclusion if g >= 1.0]
     if peak:
-        parts.append(consequent_panel.label(sum(peak) / len(peak), "B*", _COLORS["obs"]))
+        parts.append(consequent_panel.label(peak, "B*", _COLORS["obs"]))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,0 +1,215 @@
+"""The α-cut profile of a two-rule KH conclusion and its dense sweep.
+
+Each cut must be an interval, not inverted and nested in the cut below it.
+:func:`kh_alpha_profile` resolves the interpolation at many cut levels with
+numpy, :func:`sweep_oracle` summarises its gaps and nesting, and
+``_sweep_in_floats`` repeats both in plain floats for the CLI.
+"""
+from __future__ import annotations
+
+import math
+import operator
+from functools import reduce
+from typing import TYPE_CHECKING, Iterator
+
+from ._frozen import frozen
+from .errors import DomainError, ZeroSpan
+from .interpolate import Observation, Rule, _at_most, _gaps, _weighted_mean
+
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["AlphaProfile", "SweepOracleResult", "kh_alpha_profile", "sweep_oracle"]
+
+
+@frozen
+class AlphaProfile:
+    """Sampled cut-level profile of a conclusion.
+
+    ``infs[k]`` and ``sups[k]`` are the interpolated interval endpoints at
+    ``levels[k]``; an inverted pair (inf above sup) marks abnormality at
+    that level. Arrays are read-only.
+    """
+
+    levels: np.ndarray
+    infs: np.ndarray
+    sups: np.ndarray
+
+    def __post_init__(self) -> None:
+        import numpy as np
+
+        levels = np.asarray(self.levels, dtype=float)
+        infs = np.asarray(self.infs, dtype=float)
+        sups = np.asarray(self.sups, dtype=float)
+        if levels.ndim != 1 or levels.shape != infs.shape or levels.shape != sups.shape:
+            raise DomainError("levels, infs and sups must be 1-d arrays of equal length")
+        if len(levels) < 2 or levels[0] != 0.0 or levels[-1] != 1.0:
+            raise DomainError("levels must run from 0 to 1")
+        if not (levels[1:] > levels[:-1]).all():
+            raise DomainError("levels must be strictly increasing")
+        if not (np.isfinite(infs).all() and np.isfinite(sups).all()):
+            raise DomainError("profile endpoints must be finite")
+        for arr in (levels, infs, sups):
+            arr.setflags(write=False)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "infs", infs)
+        object.__setattr__(self, "sups", sups)
+
+    def __iter__(self) -> Iterator[tuple[float, float, float]]:
+        return iter(zip(self.levels.tolist(), self.infs.tolist(), self.sups.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+
+@frozen
+class SweepOracleResult:
+    """Aggregated dense-sweep diagnostics.
+
+    ``min_gap`` is the smallest ``sup - inf`` across levels (ties resolved
+    toward the highest level in ``gap_argmin``); ``abnormal_levels`` lists
+    levels whose ``inf`` is not at most their ``sup``. The monotonicity flags
+    check nesting: each ``inf`` at most the next, each ``sup`` at least the
+    next, all by :func:`~fri_lab.interpolate._at_most`. A conclusion is
+    abnormal when a level inverts or nesting fails, as :attr:`abnormal` says.
+    """
+
+    min_gap: float
+    gap_argmin: float
+    inf_monotone: bool
+    sup_monotone: bool
+    abnormal_levels: tuple[float, ...]
+
+    @property
+    def abnormal(self) -> bool:
+        return bool(self.abnormal_levels) or not (self.inf_monotone and self.sup_monotone)
+
+
+def _cut_ends(lower: Rule, upper: Rule, obs: Observation) -> list[list[tuple[float, float]]]:
+    """Per cut side (inf: point 1 to 2, sup: point 4 to 3), every α-profile
+    curve's values at levels 0 and 1: the :func:`_gaps` to the lower flank in
+    every dimension, then to the upper, then the two consequents' points. A
+    side's gaps, when all lie below 1/2, are scaled up by the side's own power
+    of two, lest subnormal gaps lose bits when interpolated; the weights
+    depend only on ratios of distances.
+    """
+    below, above = _gaps(lower, upper, obs)
+    consequents = (lower.consequent.points(), upper.consequent.points())
+    sides = []
+    for start, end in ((0, 1), (3, 2)):
+        ends = [(g[start], g[end]) for g in (*below, *above)]
+        shift = -math.frexp(max(map(max, ends)))[1]
+        if shift > 0:
+            ends = [(math.ldexp(g0, shift), math.ldexp(g1, shift)) for g0, g1 in ends]
+        sides.append(ends + [(b[start], b[end]) for b in consequents])
+    return sides
+
+
+def kh_alpha_profile(
+    lower: Rule, upper: Rule, obs: Observation, n_levels: int = 1001
+) -> AlphaProfile:
+    """Resolve the interpolation at ``n_levels`` equally spaced cut levels.
+
+    Each level's inf and sup are :func:`_weighted_mean` of the consequents'
+    cut endpoints, with Euclidean distances re-evaluated per level. With
+    linear flanks every gap between cut endpoints, and every consequent cut
+    endpoint before it stops at the kernel, is ``(1 - α) * v0 + α * v1`` from
+    its values at levels 0 and 1 (:func:`_cut_ends`). That form is exact at
+    both ends, so in one dimension levels 0 and 1 give KH's points exactly.
+    """
+    import numpy as np
+
+    if n_levels < 2:
+        raise DomainError(f"need at least 2 levels, got {n_levels}")
+    ends = np.array(_cut_ends(lower, upper, obs)).swapaxes(0, 1)
+    levels = np.linspace(0.0, 1.0, n_levels)
+    curves = ends[..., :1] * (1.0 - levels) + ends[..., 1:] * levels
+    # each consequent's cut endpoint stops at its kernel, its value at level 1
+    np.minimum(ends[-2:, 0, 1:], curves[-2:, 0], out=curves[-2:, 0])
+    np.maximum(ends[-2:, 1, 1:], curves[-2:, 1], out=curves[-2:, 1])
+    # the norms of the gaps to the lower and to the upper flank on both cut sides
+    k = obs.dimension
+    gaps = curves[:-2].reshape(2, k, 2, n_levels)
+    dists = reduce(np.hypot, (gaps[:, d] for d in range(1, k)), gaps[:, 0])
+    d1, d2 = np.ldexp(dists, -1 - np.frexp(np.maximum(*dists))[1])
+    spans = d1 + d2
+    if not spans.all():
+        raise ZeroSpan("flanking antecedents coincide at some level")
+    infs, sups = (d2 * curves[-2] + d1 * curves[-1]) / spans
+    return AlphaProfile(levels, infs, sups)
+
+
+def sweep_oracle(
+    r1: Rule, r2: Rule, obs: Observation, n_levels: int = 1001
+) -> SweepOracleResult:
+    """Dense sweep over cut levels, summarising gaps and nesting.
+
+    Independent of the segment diagnostics: it looks only at the sampled
+    interval endpoints. A conclusion is flagged abnormal when some level's
+    interval inverts (negative gap) or when the interval family is not
+    nested (an endpoint curve runs the wrong way).
+    """
+    profile = kh_alpha_profile(r1, r2, obs, n_levels=n_levels)
+    gaps = profile.sups - profile.infs
+    min_raw = float(gaps.min())
+    # near-ties resolve toward the highest level, where inversions concentrate
+    idx = int(_at_most(gaps, min_raw).nonzero()[0][-1])
+    return SweepOracleResult(
+        min_gap=min_raw,
+        gap_argmin=float(profile.levels[idx]),
+        inf_monotone=bool(_at_most(profile.infs[:-1], profile.infs[1:]).all()),
+        sup_monotone=bool(_at_most(profile.sups[1:], profile.sups[:-1]).all()),
+        abnormal_levels=tuple(profile.levels[~_at_most(profile.infs, profile.sups)].tolist()),
+    )
+
+
+def _sweep_in_floats(
+    lower: Rule, upper: Rule, obs: Observation, n_levels: int
+) -> SweepOracleResult:
+    """:func:`sweep_oracle` in plain floats, so that a CLI call does not import numpy.
+
+    It repeats :func:`kh_alpha_profile` and the summary step by step from
+    the same curve ends, with the same checks in the same
+    order, the levels of ``np.linspace``, and the kernel clamps of
+    ``np.minimum`` and ``np.maximum``, which keep the computed value on a
+    tie or a nan. So in one dimension every result has the library's bits;
+    across several, ``math.hypot`` may differ from ``np.hypot`` in the last
+    bit. A 1001-level sweep takes a few milliseconds this way, against well
+    under one with numpy, so only the CLI, which would pay for numpy's
+    import, calls this.
+    """
+    if n_levels < 2:
+        raise DomainError(f"need at least 2 levels, got {n_levels}")
+    step = 1.0 / (n_levels - 1)
+    levels = [i * step for i in range(n_levels)]
+    levels[-1] = 1.0
+    rests = [1.0 - level for level in levels]
+
+    k = obs.dimension
+    means = []
+    for ends, past in zip(_cut_ends(lower, upper, obs), (operator.gt, operator.lt)):
+        curves = [[g0 * r + g1 * level for r, level in zip(rests, levels)] for g0, g1 in ends]
+        b1, b2 = ([kernel if past(x, kernel) else x for x in curve]
+                  for (_, kernel), curve in zip(ends[-2:], curves[-2:]))
+        # the distances to the lower and to the upper flank, in np.hypot's reduce order
+        d1, d2 = (reduce(lambda norm, gap: list(map(math.hypot, norm, gap)), flank[1:], flank[0])
+                  for flank in (curves[:k], curves[k:-2]))
+        means.append(list(map(_weighted_mean, d1, d2, b1, b2)))
+    infs, sups = means
+    if None in infs or None in sups:
+        raise ZeroSpan("flanking antecedents coincide at some level")
+    if not all(map(math.isfinite, infs + sups)):
+        raise DomainError("profile endpoints must be finite")
+
+    gaps = list(map(operator.sub, sups, infs))
+    min_raw = min(gaps)
+    idx = max(i for i, gap in enumerate(gaps) if _at_most(gap, min_raw))
+    return SweepOracleResult(
+        min_gap=min_raw,
+        gap_argmin=levels[idx],
+        inf_monotone=all(map(_at_most, infs, infs[1:])),
+        sup_monotone=all(map(_at_most, sups[1:], sups)),
+        abnormal_levels=tuple(
+            level for level, inf, sup in zip(levels, infs, sups) if not _at_most(inf, sup)
+        ),
+    )

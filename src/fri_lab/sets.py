@@ -124,7 +124,12 @@ class GradedPointList:
 
 
 def membership_grade(s: TrapezoidSet, x: float) -> float:
-    """Membership of ``x``: 0 outside the support, 1 on the kernel, linear flanks."""
+    """Membership of ``x``: 0 outside the support, 1 on the kernel, linear flanks.
+
+    Raises :class:`DomainError` when ``x`` is nan, which no grade describes.
+    """
+    if math.isnan(x):
+        raise DomainError(f"abscissa must be a number, got {x}")
     if x < s.a1 or x > s.a4:
         return 0.0
     if s.a2 <= x <= s.a3:

@@ -14,8 +14,9 @@ from fri_lab import (
     run_case,
     sweep_oracle,
 )
-from fri_lab.benchmark import PRINTED_TOL, _sweep_in_floats
+from fri_lab.benchmark import PRINTED_TOL
 from fri_lab.interpolate import TOL
+from fri_lab.profile import _sweep_in_floats
 
 
 def case(case_id):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,18 +112,18 @@ class TestBench:
         assert "agrees_with_verdict=yes" in out
 
     def test_sweep_that_contradicts_the_verdict_fails_the_case(self, monkeypatch, capsys):
-        import fri_lab.benchmark as benchmark
+        import fri_lab.profile as profile
 
         # the command sweeps with the plain-float twin of sweep_oracle
-        real = benchmark._sweep_in_floats
-        case3 = next(c for c in benchmark.builtin_cases() if c.case_id == 3)
+        real = profile._sweep_in_floats
+        case3 = next(c for c in fri_lab.builtin_cases() if c.case_id == 3)
 
         def contradicting(r1, r2, obs, n_levels):
             if obs == case3.observation:  # a NORMAL case, swept as inverted
-                return benchmark.SweepOracleResult(-1.0, 1.0, True, True, (1.0,))
+                return profile.SweepOracleResult(-1.0, 1.0, True, True, (1.0,))
             return real(r1, r2, obs, n_levels)
 
-        monkeypatch.setattr(benchmark, "_sweep_in_floats", contradicting)
+        monkeypatch.setattr(profile, "_sweep_in_floats", contradicting)
         assert main(["bench", "--sweep", "11"]) == 1
         out = capsys.readouterr().out
         assert out.count("agrees_with_verdict=NO") == 1
@@ -448,6 +449,21 @@ class TestPlot:
     def test_unwritable_output_is_error(self, capsys):
         assert main(["plot", fixture(6), "-o", "/nonexistent/dir/out.svg"]) == 2
 
+    def test_antecedent_span_overflow_draws_finite_coordinates(self, tmp_path, capsys):
+        path = tmp_path / "span_overflow.json"
+        path.write_text(json.dumps(SPAN_OVERFLOW_DOC))
+        out_path = tmp_path / "span_overflow.svg"
+        assert main(["plot", str(path), "-o", str(out_path)]) == 0
+        svg = out_path.read_text()
+        assert "nan" not in svg and "inf" not in svg
+        coords = [
+            float(v)
+            for line in svg.splitlines() if "<polyline" in line
+            for pair in line.split('points="')[1].split('"')[0].split()
+            for v in pair.split(",")
+        ]
+        assert len(coords) == 48 and all(map(math.isfinite, coords))
+
 
 def test_module_entry_point_runs():
     proc = subprocess.run(
@@ -476,6 +492,7 @@ def test_output_matches_golden_transcript(record, capsys):
 # package and running the command loaded
 MODULES_PROBE = """
 import json
+import math
 import sys
 before = set(sys.modules)
 import fri_lab
@@ -490,6 +507,7 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 # star import leaves unbound or binds to another object
 NAMESPACE_PROBE = """
 import json
+import math
 import sys
 import fri_lab
 report = {"loaded": sorted(m for m in sys.modules if m.startswith("fri_lab."))}
@@ -529,6 +547,7 @@ def modules_loaded(tmp_path, argv: list[str], probe: str = MODULES_PROBE) -> set
 # the modules that a library sweep loads, with no command around it
 LIBRARY_SWEEP_PROBE = """
 import json
+import math
 import sys
 before = set(sys.modules)
 from fri_lab import builtin_cases, sweep_oracle
@@ -565,14 +584,31 @@ def test_numpy_loads_only_for_profiles_and_sweeps(tmp_path, probe, argv, loads_n
         ["validate", fixture(6)],
         ["interpolate", fixture(6)],
         ["interpolate", fixture(6), "--method", "khstab"],
+        ["interpolate", fixture(6), "--sweep", "11"],
     ],
-    ids=["validate", "interpolate", "interpolate-khstab"],
+    ids=["validate", "interpolate", "interpolate-khstab", "interpolate-sweep"],
 )
 def test_document_commands_load_no_benchmark_plotting_or_csv(tmp_path, argv):
     unused = {"fri_lab.benchmark", "fri_lab.plotting", "fri_lab.fixtures", "csv"}
     loaded = modules_loaded(tmp_path, argv)
     assert "fri_lab.normality" in loaded
     assert not loaded & unused
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", fixture(6)],
+        ["interpolate", fixture(6)],
+        ["interpolate", fixture(6), "--method", "khstab"],
+        ["bench"],
+    ],
+    ids=["validate", "interpolate", "interpolate-khstab", "bench"],
+)
+def test_commands_without_a_sweep_load_no_profile(tmp_path, argv):
+    loaded = modules_loaded(tmp_path, argv)
+    assert "fri_lab.interpolate" in loaded
+    assert "fri_lab.profile" not in loaded
 
 
 @pytest.mark.parametrize(

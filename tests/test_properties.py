@@ -25,8 +25,8 @@ from fri_lab import (
     select_flanking,
     sweep_oracle,
 )
-from fri_lab.benchmark import _sweep_in_floats
 from fri_lab.errors import FriError, NotFlanked
+from fri_lab.profile import _sweep_in_floats
 
 from genutil import (
     exact_profile,

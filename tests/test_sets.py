@@ -58,6 +58,16 @@ class TestMembership:
         assert membership_grade(s, 2.0) == 1.0
         assert membership_grade(s, 2.0 + 1e-12) == 0.0
 
+    @pytest.mark.parametrize("points", [(0, 1, 2, 2), (1, 1, 1, 1), (0, 1, 2, 3)])
+    def test_nan_abscissa_is_domain_error(self, points):
+        with pytest.raises(DomainError):
+            membership_grade(TrapezoidSet(*points), math.nan)
+
+    @pytest.mark.parametrize("points", [(0, 1, 2, 2), (1, 1, 1, 1), (0, 1, 2, 3)])
+    def test_infinite_abscissa_has_grade_zero(self, points):
+        s = TrapezoidSet(*points)
+        assert membership_grade(s, math.inf) == membership_grade(s, -math.inf) == 0.0
+
 
 class TestAlphaCut:
     def test_kernel_at_one(self):
