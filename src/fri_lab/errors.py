@@ -14,15 +14,12 @@ class DomainError(FriError):
 
 
 class NotFlanked(FriError):
-    """No rule precedes (or none succeeds) the observation in some dimension."""
-
-
-class ZeroSpan(FriError):
-    """Both flanking antecedents collapse onto the observation at some point."""
+    """No rule precedes (or none succeeds) the observation in every dimension."""
 
 
 class DimensionError(FriError):
-    """An operation restricted to one input dimension received more."""
+    """A rule base, rule or observation is empty, dimensions do not match, or
+    an operation defined for one input dimension received more."""
 
 
 class ParseError(FriError):

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import accumulate, repeat
 
 from ._frozen import frozen
-from .errors import DimensionError, DomainError, NotFlanked, OrderingViolation, ZeroSpan
+from .errors import DimensionError, DomainError, NotFlanked, OrderingViolation
 from .sets import GradedPointList, TrapezoidSet, precedes
 
 __all__ = [
@@ -275,18 +275,17 @@ def select_flanking(rb: RuleBase, obs: Observation) -> tuple[Rule, Rule]:
     return (rb.rules[lower_best[1]], rb.rules[upper_best[1]])
 
 
-def _weighted_mean(d1: float, d2: float, b1: float, b2: float) -> float | None:
-    """KH's mean ``(d2 * b1 + d1 * b2) / (d1 + d2)``, or None when ``d1 + d2`` is zero.
+def _weighted_mean(d1: float, d2: float, b1: float, b2: float) -> float:
+    """KH's mean ``(d2 * b1 + d1 * b2) / (d1 + d2)`` of two positive distances.
 
     Both distances are first scaled by the power of two that brings the
-    larger below 1/2. That leaves the mean unchanged, but keeps its
-    numerator from overflowing for huge consequents and from underflowing
-    for tiny distances.
+    larger into [1/4, 1/2), so their sum is positive. That leaves the mean
+    unchanged, but keeps its numerator from overflowing for huge consequents
+    and from underflowing for tiny distances.
     """
     shift = -1 - math.frexp(max(d1, d2))[1]
     d1, d2 = math.ldexp(d1, shift), math.ldexp(d2, shift)
-    span = d1 + d2
-    return (d2 * b1 + d1 * b2) / span if span else None
+    return (d2 * b1 + d1 * b2) / (d1 + d2)
 
 
 def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> ConclusionPoints:
@@ -303,11 +302,8 @@ def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> Conc
     :func:`_weighted_mean` describes.
     """
     below, above = _gaps(lower, upper, obs)
-    values = list(map(_weighted_mean, map(math.hypot, *below), map(math.hypot, *above),
-                      lower.consequent.points(), upper.consequent.points()))
-    if None in values:
-        raise ZeroSpan(f"flanking antecedents coincide at point {values.index(None) + 1}")
-    return ConclusionPoints(*values)
+    return ConclusionPoints(*map(_weighted_mean, map(math.hypot, *below), map(math.hypot, *above),
+                                 lower.consequent.points(), upper.consequent.points()))
 
 
 def khstab_points(rb: RuleBase, obs: Observation) -> ConclusionPoints:

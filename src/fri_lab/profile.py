@@ -13,7 +13,7 @@ from functools import reduce
 from typing import TYPE_CHECKING, Iterator
 
 from ._frozen import frozen
-from .errors import DomainError, ZeroSpan
+from .errors import DomainError
 from .interpolate import Observation, Rule, _at_most, _gaps, _weighted_mean
 
 if TYPE_CHECKING:
@@ -91,7 +91,9 @@ def _cut_ends(lower: Rule, upper: Rule, obs: Observation) -> list[list[tuple[flo
     every dimension, then to the upper, then the two consequents' points. A
     side's gaps, when all lie below 1/2, are scaled up by the side's own power
     of two, lest subnormal gaps lose bits when interpolated; the weights
-    depend only on ratios of distances.
+    depend only on ratios of distances. After scaling, a side's largest gap
+    end is at least 1/2 and the other end of its curve positive, so that
+    curve, and the distance to its flank, stay positive at every level.
     """
     below, above = _gaps(lower, upper, obs)
     consequents = (lower.consequent.points(), upper.consequent.points())
@@ -132,10 +134,7 @@ def kh_alpha_profile(
     gaps = curves[:-2].reshape(2, k, 2, n_levels)
     dists = reduce(np.hypot, (gaps[:, d] for d in range(1, k)), gaps[:, 0])
     d1, d2 = np.ldexp(dists, -1 - np.frexp(np.maximum(*dists))[1])
-    spans = d1 + d2
-    if not spans.all():
-        raise ZeroSpan("flanking antecedents coincide at some level")
-    infs, sups = (d2 * curves[-2] + d1 * curves[-1]) / spans
+    infs, sups = (d2 * curves[-2] + d1 * curves[-1]) / (d1 + d2)
     return AlphaProfile(levels, infs, sups)
 
 
@@ -196,8 +195,6 @@ def _sweep_in_floats(
                   for flank in (curves[:k], curves[k:-2]))
         means.append(list(map(_weighted_mean, d1, d2, b1, b2)))
     infs, sups = means
-    if None in infs or None in sups:
-        raise ZeroSpan("flanking antecedents coincide at some level")
     if not all(map(math.isfinite, infs + sups)):
         raise DomainError("profile endpoints must be finite")
 

@@ -1,9 +1,11 @@
 """Seeded random configuration generators shared by property and acceptance suites.
 
-All generators produce flanked 1-d configurations with the observation's
-support strictly between the antecedent supports (the sparse-rule-base
-scenario the diagnostics are stated for). Shapes are (left flank, core,
-right flank) length triples; a set is placed by its support start. The
+The seeded generators produce flanked 1-d configurations with the
+observation's support strictly between the antecedent supports (the
+sparse-rule-base scenario the diagnostics are stated for). Shapes are (left
+flank, core, right flank) length triples; a set is placed by its support
+start. The hypothesis strategy :func:`extreme_flanked_configs` produces
+flanked configurations of one to three dimensions at the float extremes. The
 module also holds a brute-force reference for flank selection, the
 per-rule loop that KHstab's kernel replaced, and a level-by-level
 reference for the α-profile in floats and, in one dimension, exactly.
@@ -14,6 +16,9 @@ import math
 import random
 from fractions import Fraction
 from typing import Sequence
+
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from fri_lab import Observation, Rule, RuleBase, TrapezoidSet
 
@@ -100,6 +105,46 @@ def uniform_core_config(rng: random.Random) -> tuple[Rule, Rule, Observation]:
     b1 = trap(rng.uniform(-5, 5), *shape_b)
     b2 = trap(b1.a4 + rng.uniform(0.05, 5), *shape_b)
     return config(a1, a2, b1, b2, obs)
+
+
+@st.composite
+def extreme_flanked_configs(draw):
+    """Valid flanked configurations ``(lower, upper, observation)`` of one to
+    three dimensions, at any float scale.
+
+    In each dimension the lower antecedent, the observation and the upper
+    antecedent are integer multiples of that dimension's own power of two,
+    from 2**-1074 to 2**1023, and the two consequents are integer multiples
+    of theirs. Every integer lies below 2**53 in magnitude, so every
+    coordinate is exact. Each point's three antecedent and observation
+    integers are distinct and in order, and sorting each set's points keeps
+    every point strictly above the same point of the set below. So every gap
+    is positive, as small as 5e-324 at the unit 2**-1074, and between
+    coordinates of opposite sign it may overflow. Draws with a coordinate
+    beyond the largest float are skipped.
+    """
+    # small integers often, so that gaps of one unit are common
+    exact = (st.integers(min_value=-4, max_value=4)
+             | st.integers(min_value=1 - 2**53, max_value=2**53 - 1))
+    # the least exponent, and the greatest at which every such integer is finite
+    exponents = st.integers(min_value=-1074, max_value=1023) | st.sampled_from((-1074, 971))
+
+    def scaled(columns):
+        exponent = draw(exponents)
+        # |i| * 2**exponent is finite exactly when |i| < 2**(1024 - exponent)
+        assume(max(abs(i) for points in columns for i in points).bit_length() + exponent <= 1024)
+        return [TrapezoidSet(*(math.ldexp(i, exponent) for i in sorted(points)))
+                for points in columns]
+
+    def flanked_dimension():
+        ordered = [sorted(draw(st.lists(exact, min_size=3, max_size=3, unique=True)))
+                   for _ in range(4)]
+        return scaled(list(zip(*ordered)))
+
+    k = draw(st.integers(min_value=1, max_value=3))
+    lows, observed, ups = zip(*(flanked_dimension() for _ in range(k)))
+    b1, b2 = scaled([draw(st.tuples(*[exact] * 4)) for _ in range(2)])
+    return Rule(lows, b1), Rule(ups, b2), Observation(observed)
 
 
 def reference_flanks(rules: Sequence[Rule], obs: Observation) -> tuple[set[int], set[int]]:

@@ -70,6 +70,31 @@ NEARLY_TOUCHING_DOC = {
                      9.300000000000002]],
 }
 
+# a valid document in which every ratio has a zero denominator: the two
+# antecedents' left flanks abut, and the observation's core and right flank
+# abut those of both antecedents; its points (3, 4, 5, 6) are in order and a
+# 1001-level sweep finds nothing abnormal
+ZERO_DENOMINATOR_DOC = {
+    "version": "1",
+    "dimension": 1,
+    "rules": [
+        {"antecedents": [[0, 2, 3, 4]], "consequent": [0, 1, 2, 3]},
+        {"antecedents": [[2, 4, 5, 6]], "consequent": [6, 7, 8, 9]},
+    ],
+    "observation": [[1, 3, 4, 5]],
+}
+
+# a valid flanked document of two input dimensions
+TWO_DIMENSIONAL_DOC = {
+    "version": "1",
+    "dimension": 2,
+    "rules": [
+        {"antecedents": [[0, 1, 2, 3]] * 2, "consequent": [0, 1, 2, 3]},
+        {"antecedents": [[10, 11, 12, 13]] * 2, "consequent": [6, 7, 8, 9]},
+    ],
+    "observation": [[5, 6, 7, 8]] * 2,
+}
+
 
 class TestBench:
     def test_full_run_passes(self, capsys):
@@ -150,6 +175,27 @@ class TestBench:
         assert "8/9 cases passed" in out
         reference = next(l for l in out.splitlines() if "reference KHstab" in l and "FAIL" in l)
         assert "computed (6.2778, 5.4, 6.6, 7)" in reference
+
+    def test_missed_published_value_prints_a_mismatch(self, monkeypatch, capsys):
+        import fri_lab.benchmark as benchmark
+
+        def replaced(value, **changes):
+            fields = {name: getattr(value, name) for name in type(value).__annotations__}
+            return type(value)(**{**fields, **changes})
+
+        real = benchmark.builtin_cases()
+        # case 2's published LTB length2 of 6.0, misprinted as 7.0
+        published = real[1].expected_segments
+        misprinted = {**published, fri_lab.Segment.LTB: replaced(
+            published[fri_lab.Segment.LTB], length2=7.0)}
+        cases = (real[0], replaced(real[1], expected_segments=misprinted), *real[2:])
+        monkeypatch.setattr(benchmark, "builtin_cases", lambda: cases)
+        assert main(["bench"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("MISMATCH") == 1
+        assert "  MISMATCH LTB/length2: computed=6.0 expected=7.0\n" in out
+        assert f"Case 2 ({real[1].name}): FAIL" in out
+        assert "8/9 cases passed" in out
 
     def test_bad_case_number_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -374,6 +420,20 @@ class TestValidate:
         assert code == 1
         assert "LTB: GENERAL, 30.15 > 6.8, PROBLEM" in out
 
+    def test_zero_denominators_leave_the_ratios_undefined(self, tmp_path, capsys):
+        path = tmp_path / "zero_denominator.json"
+        path.write_text(json.dumps(ZERO_DENOMINATOR_DOC))
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "conclusion points: (3, 4, 5, 6)\n" in out
+        assert out.endswith(
+            "LTB ratio: UNDEFINED (zero denominator)\n"
+            "CORE ratio: UNDEFINED (zero denominator)\n"
+            "RTB ratio: UNDEFINED (zero denominator)\n"
+            "case tags: CASE1, COROLLARY4\n"
+            "overall: NORMAL\n"
+        )
+
     def test_malformed_document(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not valid json")
@@ -463,6 +523,25 @@ class TestPlot:
             for v in pair.split(",")
         ]
         assert len(coords) == 48 and all(map(math.isfinite, coords))
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("validate", "validation diagnostics are defined for dimension 1"),
+        ("plot", "plotting is defined for dimension 1"),
+    ],
+)
+def test_one_dimensional_commands_reject_a_2d_document(tmp_path, capsys, command, message):
+    path = tmp_path / "two_dimensional.json"
+    path.write_text(json.dumps(TWO_DIMENSIONAL_DOC))
+    svg = tmp_path / "two_dimensional.svg"
+    options = ["-o", str(svg)] if command == "plot" else []
+    assert main([command, str(path), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not svg.exists()
 
 
 def test_module_entry_point_runs():

@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,11 +27,12 @@ from fri_lab import (
     select_flanking,
     sweep_oracle,
 )
-from fri_lab.errors import FriError, NotFlanked
+from fri_lab.errors import DomainError, FriError, NotFlanked
 from fri_lab.profile import _sweep_in_floats
 
 from genutil import (
     exact_profile,
+    extreme_flanked_configs,
     random_flanked_config,
     random_uniform_config,
     reference_flanks,
@@ -577,3 +580,26 @@ def test_float_sweep_fails_like_sweep_oracle(case, n_levels, error):
     want = sweep_outcome(sweep_oracle, *case, n_levels)
     assert sweep_outcome(_sweep_in_floats, *case, n_levels) == want
     assert want[0].__name__ == error
+
+
+# KH, the α-profile and both sweeps take the two-rule mean only between
+# positive distances, so its span is never zero: on valid flanked
+# configurations at any scale each returns, or fails because a gap or a
+# distance overflowed and made a value that is not finite
+NOT_FINITE = re.compile(r"conclusion point \S+ is not finite|profile endpoints must be finite")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300)
+@given(extreme_flanked_configs())
+@example(flanked(*[(s,) for s in GAP_OVERFLOW]))
+@example(SUBNORMAL_3D_CASE)
+@example(SIDE_SCALES_CASE)
+def test_two_rule_mean_is_total_on_flanked_configurations(case):
+    for interpolate in (kh_characteristic_points,
+                        *(partial(f, n_levels=11)
+                          for f in (kh_alpha_profile, sweep_oracle, _sweep_in_floats))):
+        try:
+            interpolate(*case)
+        except DomainError as exc:
+            assert NOT_FINITE.fullmatch(str(exc))

@@ -21,6 +21,7 @@ from fri_lab import (
 from fri_lab.errors import ParseError, ValidationError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+TRAPEZOID = TrapezoidSet(1, 2, 3, 4)
 
 EXAMPLE1_TEXT = """
 {
@@ -111,13 +112,45 @@ class TestLoad:
             (EXAMPLE1_TEXT.replace('"Example 1"', "1"), "metadata['name']: expected a string"),
             (EXAMPLE1_TEXT.replace("[[4, 5, 5, 6]]", "[[4, 5, 5, 6], [4, 5, 5, 6]]"),
              "observation has 2 sets, expected 1"),
+            (EXAMPLE1_TEXT.replace('"consequent": [2, 2, 2]', '"consequent": 2'),
+             "rules[0].consequent: expected a non-empty array of numbers"),
+            (EXAMPLE1_TEXT.replace('{"antecedents": [[7, 8, 9]], "consequent": [8, 8, 8]}',
+                                   "[[7, 8, 9]]"),
+             "rules[1]: expected an object"),
+            (EXAMPLE1_TEXT.replace('{"name": "Example 1"}', '["Example 1"]'),
+             "'metadata' must be an object"),
         ],
         ids=["top-level-array", "empty-observation", "non-string-metadata",
-             "observation-dimension"],
+             "observation-dimension", "non-array-numbers", "non-object-rule",
+             "non-object-metadata"],
     )
     def test_malformed_document_rejected(self, text, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_document(text)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"rule_arities": (((2,), 4),)},
+             "rules[0].antecedents[0]: arity must be 1, 3 or 4, got 2"),
+            ({"rule_arities": (((1,), 4),)},
+             "rules[0].antecedents[0]: arity 1 requires a singleton"),
+            ({"rule_arities": (((4,), 3),)}, "rules[0].consequent: arity 3 requires a triangle"),
+            ({"rules": ()}, "document contains no rules"),
+            ({"rule_arities": (((4,), 4),) * 2}, "arity records do not match the rule count"),
+            ({"rule_arities": (((4, 4), 4),)}, "rules[0]: arity record length mismatch"),
+            ({"observation": Observation((TRAPEZOID,)), "observation_arity": (4, 4)},
+             "observation arity record length mismatch"),
+            ({"observation_arity": (4,)}, "observation arity recorded without an observation"),
+        ],
+        ids=["unknown-arity", "arity-1-trapezoid", "arity-3-trapezoid", "no-rules",
+             "rule-count", "antecedent-count", "observation-count", "no-observation"],
+    )
+    def test_inconsistent_document_records_rejected(self, fields, message):
+        document = {"version": FORMAT_VERSION, "dimension": 1,
+                    "rules": (Rule((TRAPEZOID,), TRAPEZOID),), **fields}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RuleBaseDocument(**document)
 
     def test_singleton_arity_one(self):
         doc = load_document(
