@@ -404,11 +404,7 @@ def run_case(case: BenchmarkCase) -> CaseReport:
     exact_dev = max(
         abs(c - e) for c, e in zip(points.as_tuple(), case.exact_points)
     )
-    checks.append(
-        CheckResult(
-            "points_exact", None, exact_dev, 0.0, exact_dev, TOL, exact_dev <= TOL,
-        )
-    )
+    checks.append(_num_check("points_exact", None, exact_dev, 0.0, TOL))
 
     for seg in Segment:
         expected = case.expected_segments[seg]

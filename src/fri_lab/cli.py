@@ -58,6 +58,15 @@ def _print_verdict_block(report, decimals: int) -> None:
     print(f"overall: {report.overall.value}")
 
 
+def _sweep(n_levels: int | None, lower, upper, observation):
+    """The float sweep at ``n_levels`` levels; None, and no profile import, without one."""
+    if n_levels is None:
+        return None
+    from .profile import _sweep_in_floats
+
+    return _sweep_in_floats(lower, upper, observation, n_levels)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     from .benchmark import builtin_cases, run_case
 
@@ -72,13 +81,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for case, result in zip(cases, results):
         report = result.report
         passed = result.passed
-        oracle = None
-        if args.sweep is not None:
-            from .profile import _sweep_in_floats
-
-            oracle = _sweep_in_floats(
-                case.rule_lower, case.rule_upper, case.observation, args.sweep
-            )
+        oracle = _sweep(args.sweep, case.rule_lower, case.rule_upper, case.observation)
+        if oracle is not None:
             agrees = oracle.abnormal == (report.overall is Verdict.PROBLEM)
             # a sweep that contradicts the verdict fails the case
             passed = passed and agrees
@@ -172,18 +176,10 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     # everything that can fail runs before the first line is printed
     if args.method == "khstab":
         points = khstab_points(rulebase, observation)
+    else:
+        points = kh_characteristic_points(lower, upper, observation)
     report = full_report(lower, upper, observation) if rulebase.dimension == 1 else None
-    if args.method == "kh":
-        # in one dimension the report already holds the KH points
-        if report is not None:
-            points = report.points
-        else:
-            points = kh_characteristic_points(lower, upper, observation)
-    oracle = None
-    if args.sweep is not None:
-        from .profile import _sweep_in_floats
-
-        oracle = _sweep_in_floats(lower, upper, observation, args.sweep)
+    oracle = _sweep(args.sweep, lower, upper, observation)
     print(f"method: {args.method}")
     print(f"conclusion points: {_fmt_points(points.as_tuple(), args.decimals)}")
     shape = assemble_conclusion(points)
@@ -298,10 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return _EXIT_BROKEN_PIPE
-    except FriError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FriError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -280,8 +280,10 @@ def _weighted_mean(d1: float, d2: float, b1: float, b2: float) -> float:
 
     Both distances are first scaled by the power of two that brings the
     larger into [1/4, 1/2), so their sum is positive. That leaves the mean
-    unchanged, but keeps its numerator from overflowing for huge consequents
-    and from underflowing for tiny distances.
+    unchanged, and keeps its numerator from overflowing for huge consequents.
+    The smaller distance's term can still underflow: ``_weighted_mean(1e-200,
+    1e200, -1e-105, -1e302)`` is ``-1e-105``, where the mean is about
+    ``-1.0e-98``.
     """
     shift = -1 - math.frexp(max(d1, d2))[1]
     d1, d2 = math.ldexp(d1, shift), math.ldexp(d2, shift)

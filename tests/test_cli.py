@@ -212,14 +212,6 @@ class TestInterpolate:
         assert "ABNORMAL" in out
         assert "The length (Core) is (PROBLEM)" in out
 
-    def test_one_dimension_takes_the_kh_points_from_the_report(self, monkeypatch, capsys):
-        def unused(*args):
-            raise AssertionError("KH points computed twice")
-
-        monkeypatch.setattr(fri_lab.cli, "kh_characteristic_points", unused)
-        assert main(["interpolate", fixture(6)]) == 1
-        assert "conclusion points: (4.7, 5.7, 4.7, 6.608)" in capsys.readouterr().out
-
     def test_normal_case_exits_zero(self, capsys):
         code = main(["interpolate", fixture(2)])
         out = capsys.readouterr().out

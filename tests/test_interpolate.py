@@ -1,9 +1,11 @@
 import math
 import random
+import re
 
 import pytest
 
 from fri_lab import (
+    AlphaProfile,
     GradedPointList,
     Observation,
     Rule,
@@ -165,6 +167,25 @@ def test_rule_base_rejects_an_observation_of_another_dimension(method):
         method(rb, two_d)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Rule((), TrapezoidSet(1, 2, 3, 4)),
+         "a rule needs at least one antecedent dimension"),
+        (lambda: Observation(()), "an observation needs at least one dimension"),
+        (lambda: RuleBase(()), "rule base must contain at least one rule"),
+        (lambda: RuleBase((
+            rule1d((1, 2, 3, 4), (1, 2, 3, 4)),
+            Rule((TrapezoidSet(6, 7, 8, 9),) * 2, TrapezoidSet(6, 7, 8, 9)),
+        )), "rule 1 has dimension 2, expected 1"),
+    ],
+    ids=["antecedent-less-rule", "empty-observation", "empty-rule-base", "mixed-dimensions"],
+)
+def test_model_records_reject_missing_or_mixed_dimensions(build, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 class TestMultiDimension:
     def test_identical_dimensions_reduce_to_one(self):
         shift = 10.0
@@ -265,6 +286,20 @@ class TestAlphaProfile:
     def test_too_few_levels(self):
         with pytest.raises(DomainError):
             kh_alpha_profile(*self.ex6(), n_levels=1)
+
+    @pytest.mark.parametrize(
+        "levels, infs, sups, message",
+        [
+            ([0.0, 1.0], [1.0, 2.0], [3.0],
+             "levels, infs and sups must be 1-d arrays of equal length"),
+            ([0.0, 0.5], [1.0, 2.0], [3.0, 2.0], "levels must run from 0 to 1"),
+            ([0.0, 0.5, 0.5, 1.0], [1.0] * 4, [3.0] * 4, "levels must be strictly increasing"),
+        ],
+        ids=["unequal-lengths", "levels-short-of-one", "repeated-level"],
+    )
+    def test_malformed_arrays_rejected(self, levels, infs, sups, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            AlphaProfile(levels, infs, sups)
 
     def test_profile_arrays_read_only(self):
         profile = kh_alpha_profile(*self.ex6(), n_levels=5)

@@ -119,10 +119,12 @@ class TestLoad:
              "rules[1]: expected an object"),
             (EXAMPLE1_TEXT.replace('{"name": "Example 1"}', '["Example 1"]'),
              "'metadata' must be an object"),
+            (EXAMPLE1_TEXT.replace('"antecedents": [[1, 2, 3]]', '"antecedents": []'),
+             "rules[0].antecedents: expected a non-empty array"),
         ],
         ids=["top-level-array", "empty-observation", "non-string-metadata",
              "observation-dimension", "non-array-numbers", "non-object-rule",
-             "non-object-metadata"],
+             "non-object-metadata", "empty-antecedents"],
     )
     def test_malformed_document_rejected(self, text, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

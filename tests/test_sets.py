@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -95,10 +96,35 @@ class TestAlphaCut:
         assert cut.lo == cut.hi == tiny
 
 
+@pytest.mark.parametrize(
+    "lo, hi, error, message",
+    [
+        (1, math.inf, DomainError, "interval endpoints must be finite, got [1, inf]"),
+        (3, 2, OrderingViolation, "interval endpoints out of order: 3 > 2"),
+    ],
+    ids=["non-finite-end", "ends-out-of-order"],
+)
+def test_malformed_interval_rejected(lo, hi, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Interval(lo, hi)
+
+
 class TestConvexNormal:
     def test_grade_outside_unit_interval_rejected(self):
         with pytest.raises(DomainError):
             GradedPointList(((0, 0.0), (1, 1.2)))
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ((), "graded point list must be nonempty"),
+            (((0, 0.0), (math.nan, 1.0)), "point (nan, 1.0) is not finite"),
+        ],
+        ids=["empty", "nan-abscissa"],
+    )
+    def test_malformed_points_rejected(self, points, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            GradedPointList(points)
 
 
 class TestPrecedes:
