@@ -39,7 +39,6 @@ _EXPORTS = {
     "rulebase_io": (
         "FORMAT_VERSION", "RuleBaseDocument", "load_document", "save_document", "to_rulebase",
     ),
-    "fixtures": ("fixture_document", "fixture_filename", "export_fixtures"),
     "plotting": ("render_interpolation_svg",),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -135,6 +135,15 @@ def _parse_set(value: Any, where: str) -> tuple[TrapezoidSet, int]:
     return TrapezoidSet.from_points(nums), len(nums)
 
 
+def _parse_sets(value: Any, where: str,
+                empty: str) -> tuple[tuple[TrapezoidSet, ...], tuple[int, ...]]:
+    """The sets of a non-empty array of sets, and the arity each was written with."""
+    if not isinstance(value, list) or not value:
+        raise ValidationError(empty)
+    sets, arities = zip(*[_parse_set(raw, f"{where}[{d}]") for d, raw in enumerate(value)])
+    return sets, arities
+
+
 def load_document(data: bytes | str) -> RuleBaseDocument:
     """Parse and validate a document; no partially-parsed result escapes."""
     if isinstance(data, bytes):
@@ -182,36 +191,22 @@ def load_document(data: bytes | str) -> RuleBaseDocument:
             raise ValidationError(f"{where}: expected an object")
         if set(raw_rule) != {"antecedents", "consequent"}:
             raise ValidationError(f"{where}: expected keys 'antecedents' and 'consequent'")
-        raw_ants = raw_rule["antecedents"]
-        if not isinstance(raw_ants, list) or not raw_ants:
-            raise ValidationError(f"{where}.antecedents: expected a non-empty array")
-        ants = []
-        ant_ars = []
-        for d, raw_set in enumerate(raw_ants):
-            s, ar = _parse_set(raw_set, f"{where}.antecedents[{d}]")
-            ants.append(s)
-            ant_ars.append(ar)
+        ants, ant_ars = _parse_sets(raw_rule["antecedents"], f"{where}.antecedents",
+                                    f"{where}.antecedents: expected a non-empty array")
         consequent, con_ar = _parse_set(raw_rule["consequent"], f"{where}.consequent")
-        rules.append(Rule(tuple(ants), consequent))
-        arities.append((tuple(ant_ars), con_ar))
+        rules.append(Rule(ants, consequent))
+        arities.append((ant_ars, con_ar))
 
     observation = None
     observation_arity = None
-    if "observation" in raw and raw["observation"] is not None:
-        raw_obs = raw["observation"]
-        if not isinstance(raw_obs, list) or not raw_obs:
-            raise ValidationError("'observation' must be a non-empty array")
-        sets = []
-        obs_ars = []
-        for d, raw_set in enumerate(raw_obs):
-            s, ar = _parse_set(raw_set, f"observation[{d}]")
-            sets.append(s)
-            obs_ars.append(ar)
-        observation = Observation(tuple(sets))
-        observation_arity = tuple(obs_ars)
+    if raw.get("observation") is not None:
+        sets, observation_arity = _parse_sets(
+            raw["observation"], "observation", "'observation' must be a non-empty array"
+        )
+        observation = Observation(sets)
 
     metadata: dict[str, str] = {}
-    if "metadata" in raw and raw["metadata"] is not None:
+    if raw.get("metadata") is not None:
         raw_meta = raw["metadata"]
         if not isinstance(raw_meta, dict):
             raise ValidationError("'metadata' must be an object")
@@ -259,7 +254,7 @@ def save_document(doc: RuleBaseDocument) -> bytes:
     if doc.observation is not None:
         payload["observation"] = [
             _emit_set(s, ar)
-            for s, ar in zip(doc.observation.sets, doc.observation_arity or ())
+            for s, ar in zip(doc.observation.sets, doc.observation_arity)
         ]
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 

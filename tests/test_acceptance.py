@@ -18,7 +18,6 @@ from fri_lab import (
     builtin_cases,
     direct_normality,
     extract_segment_params,
-    fixture_filename,
     full_report,
     kh_characteristic_points,
     khstab_points,
@@ -411,13 +410,13 @@ def test_criterion_8_io_and_cli(tmp_path, capsys):
     problems = []
 
     for case_id in range(1, 10):
-        data = (FIXTURES / fixture_filename(case_id)).read_bytes()
+        data = (FIXTURES / f"example_{case_id:02d}.json").read_bytes()
         if save_document(load_document(data)) != data:
             problems.append(f"fixture {case_id} round-trip")
 
     if cli_main(["bench"]) != 0:
         problems.append("bench exit code")
-    if cli_main(["validate", str(FIXTURES / fixture_filename(9))]) != 1:
+    if cli_main(["validate", str(FIXTURES / "example_09.json")]) != 1:
         problems.append("expected-problem exit code")
     broken = tmp_path / "broken.json"
     broken.write_text("{")
@@ -425,8 +424,8 @@ def test_criterion_8_io_and_cli(tmp_path, capsys):
         problems.append("malformed-input exit code")
 
     first, second = tmp_path / "a.svg", tmp_path / "b.svg"
-    cli_main(["plot", str(FIXTURES / fixture_filename(6)), "-o", str(first)])
-    cli_main(["plot", str(FIXTURES / fixture_filename(6)), "-o", str(second)])
+    cli_main(["plot", str(FIXTURES / "example_06.json"), "-o", str(first)])
+    cli_main(["plot", str(FIXTURES / "example_06.json"), "-o", str(second)])
     if first.read_bytes() != second.read_bytes():
         problems.append("plot determinism")
 

@@ -392,6 +392,30 @@ def test_failed_sweep_prints_no_partial_report(capsys, command, levels):
     assert captured.err == f"error: need at least 2 levels, got {levels}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        *(
+            ([command, fixture(5), *options], f"conclusion points: ({points})")
+            for command in ("validate", "interpolate")
+            for options, points in [
+                (["--decimals", "8"], "3.08333, 4.5, 5.5, 6.91667"),
+                ([], "3.0833, 4.5, 5.5, 6.9167"),
+                (["--decimals", "1"], "3.1, 4.5, 5.5, 6.9"),
+            ]
+        ),
+        (["bench", "--case", "5", "--decimals", "8"],
+         "  points computed=(3.08333, 4.5, 5.5, 6.91667) expected=(3.08, 4.5, 5.5, 6.916) "
+         "max|dev|=0.00333333"),
+    ],
+    ids=[f"{command}-{decimals}" for command in ("validate", "interpolate")
+         for decimals in ("8", "default", "1")] + ["bench-8"],
+)
+def test_decimals_sets_the_printed_precision(capsys, argv, line):
+    assert main(argv) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 class TestValidate:
     def test_all_normal_document(self, capsys):
         code = main(["validate", fixture(1)])
@@ -660,7 +684,7 @@ def test_numpy_loads_only_for_profiles_and_sweeps(tmp_path, probe, argv, loads_n
     ids=["validate", "interpolate", "interpolate-khstab", "interpolate-sweep"],
 )
 def test_document_commands_load_no_benchmark_plotting_or_csv(tmp_path, argv):
-    unused = {"fri_lab.benchmark", "fri_lab.plotting", "fri_lab.fixtures", "csv"}
+    unused = {"fri_lab.benchmark", "fri_lab.plotting", "csv"}
     loaded = modules_loaded(tmp_path, argv)
     assert "fri_lab.normality" in loaded
     assert not loaded & unused

@@ -11,9 +11,6 @@ from fri_lab import (
     RuleBaseDocument,
     TrapezoidSet,
     builtin_cases,
-    export_fixtures,
-    fixture_document,
-    fixture_filename,
     load_document,
     save_document,
     to_rulebase,
@@ -204,32 +201,20 @@ class TestRoundTrip:
         again = load_document(save_document(doc))
         assert again.rules[0].antecedents[0].points() == rule.antecedents[0].points()
 
-    def test_benchmark_export_round_trips(self):
-        for case in builtin_cases():
-            doc = fixture_document(case)
-            again = load_document(save_document(doc))
-            assert again == doc
-            rb, obs = to_rulebase(again)
-            assert rb.rules == (case.rule_lower, case.rule_upper)
-            assert obs == case.observation
-
 
 class TestShippedFixtures:
     @pytest.mark.parametrize("case_id", range(1, 10))
     def test_fixture_file_matches_builtin_case(self, case_id):
         case = next(c for c in builtin_cases() if c.case_id == case_id)
-        path = FIXTURES / fixture_filename(case_id)
-        doc = load_document(path.read_bytes())
-        assert doc == fixture_document(case)
+        doc = load_document((FIXTURES / f"example_{case_id:02d}.json").read_bytes())
+        assert (doc.version, doc.dimension) == ("1", 1)
+        rulebase, observation = to_rulebase(doc)
+        assert rulebase.rules == (case.rule_lower, case.rule_upper)
+        assert observation == case.observation
+        assert doc.metadata == {"name": f"Example {case_id}", "notes": case.provenance_note}
 
     @pytest.mark.parametrize("case_id", range(1, 10))
     def test_fixture_file_round_trips_byte_identically(self, case_id):
-        path = FIXTURES / fixture_filename(case_id)
+        path = FIXTURES / f"example_{case_id:02d}.json"
         data = path.read_bytes()
         assert save_document(load_document(data)) == data
-
-    def test_export_reproduces_the_shipped_files(self, tmp_path):
-        written = export_fixtures(tmp_path)
-        assert written == [tmp_path / fixture_filename(i) for i in range(1, 10)]
-        for path in written:
-            assert path.read_bytes() == (FIXTURES / path.name).read_bytes()
