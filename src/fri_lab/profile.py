@@ -1,9 +1,9 @@
 """The α-cut profile of a two-rule KH conclusion and its dense sweep.
 
 Each cut must be an interval, not inverted and nested in the cut below it.
-:func:`kh_alpha_profile` resolves the interpolation at many cut levels with
-numpy, :func:`sweep_oracle` summarises its gaps and nesting, and
-``_sweep_in_floats`` repeats both in plain floats for the CLI.
+:func:`kh_alpha_profile` resolves the interpolation at many cut levels and
+:func:`sweep_oracle` summarises its gaps and nesting, both with numpy, which
+the package does not install; the CLI repeats both in plain floats.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ class AlphaProfile:
 
     ``infs[k]`` and ``sups[k]`` are the interpolated interval endpoints at
     ``levels[k]``; an inverted pair (inf above sup) marks abnormality at
-    that level. Arrays are read-only.
+    that level. Arrays are read-only. Needs numpy.
     """
 
     levels: np.ndarray
@@ -110,7 +110,7 @@ def _cut_ends(lower: Rule, upper: Rule, obs: Observation) -> list[list[tuple[flo
 def kh_alpha_profile(
     lower: Rule, upper: Rule, obs: Observation, n_levels: int = 1001
 ) -> AlphaProfile:
-    """Resolve the interpolation at ``n_levels`` equally spaced cut levels.
+    """Resolve the interpolation at ``n_levels`` equally spaced cut levels with numpy.
 
     Each level's inf and sup are :func:`_weighted_mean` of the consequents'
     cut endpoints, with Euclidean distances re-evaluated per level. With
@@ -146,7 +146,7 @@ def sweep_oracle(
     Independent of the segment diagnostics: it looks only at the sampled
     interval endpoints. A conclusion is flagged abnormal when some level's
     interval inverts (negative gap) or when the interval family is not
-    nested (an endpoint curve runs the wrong way).
+    nested (an endpoint curve runs the wrong way). Needs numpy.
     """
     profile = kh_alpha_profile(r1, r2, obs, n_levels=n_levels)
     gaps = profile.sups - profile.infs
@@ -162,28 +162,21 @@ def sweep_oracle(
     )
 
 
-def _sweep_in_floats(
+def _float_profile(
     lower: Rule, upper: Rule, obs: Observation, n_levels: int
-) -> SweepOracleResult:
-    """:func:`sweep_oracle` in plain floats, so that a CLI call does not import numpy.
+) -> tuple[list[float], list[float], list[float]]:
+    """:func:`kh_alpha_profile`'s levels, infs and sups in plain floats, for the CLI.
 
-    It repeats :func:`kh_alpha_profile` and the summary step by step from
-    the same curve ends, with the same checks in the same
-    order, the levels of ``np.linspace``, and the kernel clamps of
-    ``np.minimum`` and ``np.maximum``, which keep the computed value on a
-    tie or a nan. So in one dimension every result has the library's bits;
-    across several, ``math.hypot`` may differ from ``np.hypot`` in the last
-    bit. A 1001-level sweep takes a few milliseconds this way, against well
-    under one with numpy, so only the CLI, which would pay for numpy's
-    import, calls this.
+    The same checks in the same order, the levels of ``np.linspace`` and the
+    clamps of ``np.minimum`` and ``np.maximum``, which keep the computed value
+    on a tie or a nan, give the library's bits in one dimension; across
+    several, ``math.hypot`` may differ from ``np.hypot`` in the last bit.
     """
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
     step = 1.0 / (n_levels - 1)
-    levels = [i * step for i in range(n_levels)]
-    levels[-1] = 1.0
+    levels = [i * step for i in range(n_levels - 1)] + [1.0]
     rests = [1.0 - level for level in levels]
-
     k = obs.dimension
     means = []
     for ends, past in zip(_cut_ends(lower, upper, obs), (operator.gt, operator.lt)):
@@ -197,7 +190,14 @@ def _sweep_in_floats(
     infs, sups = means
     if not all(map(math.isfinite, infs + sups)):
         raise DomainError("profile endpoints must be finite")
+    return levels, infs, sups
 
+
+def _sweep_in_floats(
+    lower: Rule, upper: Rule, obs: Observation, n_levels: int
+) -> SweepOracleResult:
+    """:func:`sweep_oracle`'s summary, in plain floats, of :func:`_float_profile`."""
+    levels, infs, sups = _float_profile(lower, upper, obs, n_levels)
     gaps = list(map(operator.sub, sups, infs))
     min_raw = min(gaps)
     idx = max(i for i, gap in enumerate(gaps) if _at_most(gap, min_raw))

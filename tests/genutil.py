@@ -7,8 +7,7 @@ flank, core, right flank) length triples; a set is placed by its support
 start. The hypothesis strategy :func:`extreme_flanked_configs` produces
 flanked configurations of one to three dimensions at the float extremes. The
 module also holds a brute-force reference for flank selection, the
-per-rule loop that KHstab's kernel replaced, and a level-by-level
-reference for the α-profile in floats and, in one dimension, exactly.
+per-rule loop that KHstab's kernel replaced, and the exact 1-d α-profile.
 """
 from __future__ import annotations
 
@@ -201,47 +200,6 @@ def reference_khstab(rb: RuleBase, obs: Observation) -> tuple[float, ...]:
             / total
         ))
     return tuple(values)
-
-
-def reference_profile(
-    lower: Rule, upper: Rule, obs: Observation, levels: Sequence[float]
-) -> tuple[list[float], list[float]]:
-    """The α-profile of ``kh_alpha_profile`` at ``levels``, one level at a time
-    in plain floats: the same gaps, side scales, curves, clamps, distances,
-    per-level power-of-two scale and weighted mean, in the same order.
-    Returns the infs and the sups.
-
-    Distances across several dimensions use ``math.hypot`` where the library
-    chains ``np.hypot``, so those may differ in the last bits; in one
-    dimension both take the gap itself.
-    """
-    def at(v0: float, v1: float, level: float) -> float:
-        return v0 * (1.0 - level) + v1 * level
-
-    below = [tuple(x - a for a, x in zip(s.points(), o.points()))
-             for s, o in zip(lower.antecedents, obs.sets)]
-    above = [tuple(u - x for x, u in zip(o.points(), s.points()))
-             for o, s in zip(obs.sets, upper.antecedents)]
-    sides: tuple[list[float], list[float]] = ([], [])
-    # the inf side runs from point 1 at level 0 to point 2 at level 1, the
-    # sup side from point 4 to point 3
-    for (start, end), values in zip(((0, 1), (3, 2)), sides):
-        # one power of two per side lifts its gaps when all lie below 1/2
-        shift = max(0, -math.frexp(max(g[p] for g in below + above for p in (start, end)))[1])
-        lows, ups = ([(math.ldexp(g[start], shift), math.ldexp(g[end], shift)) for g in gaps]
-                     for gaps in (below, above))
-        # np.minimum(a2, x) and np.maximum(a3, x) return x on a tie
-        clamp = min if start == 0 else max
-        for level in levels:
-            d1 = math.hypot(*(at(*g, level) for g in lows))
-            d2 = math.hypot(*(at(*g, level) for g in ups))
-            b1, b2 = (clamp(at(b.points()[start], b.points()[end], level), b.points()[end])
-                      for b in (lower.consequent, upper.consequent))
-            # the distances scaled so that the larger lies below 1/2
-            scale = -1 - math.frexp(max(d1, d2))[1]
-            d1, d2 = math.ldexp(d1, scale), math.ldexp(d2, scale)
-            values.append((d2 * b1 + d1 * b2) / (d1 + d2))
-    return sides
 
 
 def exact_profile(

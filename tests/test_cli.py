@@ -652,6 +652,37 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
+# without numpy: the CLI's float sweep of case 6, and what each name of the
+# library profile raises
+NO_NUMPY_PROBE = """
+import json
+import sys
+sys.modules["numpy"] = None
+from fri_lab import AlphaProfile, builtin_cases, kh_alpha_profile, sweep_oracle
+from fri_lab.profile import _sweep_in_floats
+case = builtin_cases()[5]
+args = (case.rule_lower, case.rule_upper, case.observation)
+report = {"abnormal": _sweep_in_floats(*args, 11).abnormal}
+for name, call in [("kh_alpha_profile", lambda: kh_alpha_profile(*args, 11)),
+                   ("sweep_oracle", lambda: sweep_oracle(*args, 11)),
+                   ("AlphaProfile", lambda: AlphaProfile([0.0, 1.0], [0.0, 0.0], [1.0, 1.0]))]:
+    try:
+        call()
+    except ModuleNotFoundError as exc:
+        report[name] = exc.name
+print(json.dumps(report))
+"""
+
+
+def test_library_without_numpy_sweeps_in_floats_and_names_numpy():
+    proc = run_probe(NO_NUMPY_PROBE, [])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "abnormal": True, "kh_alpha_profile": "numpy", "sweep_oracle": "numpy",
+        "AlphaProfile": "numpy",
+    }
+
+
 @pytest.mark.parametrize(
     "probe, argv, loads_numpy",
     [

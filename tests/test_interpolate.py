@@ -2,6 +2,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from fri_lab import (
@@ -472,7 +473,6 @@ class TestToleranceRule:
         assert _close(a, b) is close
 
     def test_arrays_elementwise(self):
-        np = pytest.importorskip("numpy")
         a, b, at_most, close = (np.array(column) for column in zip(*self.CASES))
         assert (_at_most(a, b) == at_most).all()
         assert (_close(a, b) == close).all()

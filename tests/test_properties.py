@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fri_lab import (
+    AlphaProfile,
     Observation,
     Rule,
     RuleBase,
@@ -28,7 +29,7 @@ from fri_lab import (
     sweep_oracle,
 )
 from fri_lab.errors import DomainError, FriError, NotFlanked
-from fri_lab.profile import _sweep_in_floats
+from fri_lab.profile import _float_profile, _sweep_in_floats
 
 from genutil import (
     exact_profile,
@@ -37,7 +38,6 @@ from genutil import (
     random_uniform_config,
     reference_flanks,
     reference_khstab,
-    reference_profile,
 )
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -357,10 +357,10 @@ def test_khstab_matches_reference_when_dimensions_order_rules_differently(case):
     check_khstab_against_reference(*case)
 
 
-# The α-profile against its level-by-level reference. In every dimension
-# the lower antecedent's points lie in [0, 1], the observation's in [2, 3]
-# and the upper antecedent's in [4, 5], times that dimension's power of
-# ten; the consequents are free, at another power of ten.
+# Configurations for the profiles and sweeps. In every dimension the lower
+# antecedent's points lie in [0, 1], the observation's in [2, 3] and the
+# upper antecedent's in [4, 5], times that dimension's power of ten; the
+# consequents are free, at another power of ten.
 @st.composite
 def profile_cases(draw, dimensions=st.integers(min_value=1, max_value=3)):
     unit = st.floats(min_value=0, max_value=1)
@@ -379,27 +379,6 @@ def profile_cases(draw, dimensions=st.integers(min_value=1, max_value=3)):
     b_scale = 10.0 ** draw(exponent)
     return (Rule(tuple(lows), consequent(b_scale)), Rule(tuple(ups), consequent(b_scale)),
             Observation(tuple(observed)))
-
-
-@settings(max_examples=200)
-@given(profile_cases(), st.sampled_from((2, 3, 11, 101)))
-def test_profile_matches_level_by_level_reference(case, n_levels):
-    lower, upper, obs = case
-    profile = kh_alpha_profile(lower, upper, obs, n_levels)
-    levels = profile.levels.tolist()
-    assert levels == pytest.approx([i / (n_levels - 1) for i in range(n_levels)], abs=1e-15)
-    got = (profile.infs.tolist(), profile.sups.tolist())
-    want = reference_profile(lower, upper, obs, levels)
-    if obs.dimension == 1:
-        assert [list(map(float.hex, side)) for side in got] == [
-            list(map(float.hex, side)) for side in want
-        ]
-    else:
-        # each endpoint is a weighted mean of consequent points, so a last-bit
-        # difference in a distance moves it by ulps of the largest of them
-        ulp = math.ulp(max(abs(b) for rule in (lower, upper) for b in rule.consequent.points()))
-        for g, w in zip(got, want):
-            assert max(abs(x - y) for x, y in zip(g, w)) <= 4 * ulp
 
 
 @st.composite
@@ -528,10 +507,10 @@ def flanked(lows, ups, observed):
     return Rule(lows, CONSEQUENTS[0]), Rule(ups, CONSEQUENTS[1]), Observation(observed)
 
 
-def sweep_outcome(sweep, lower, upper, obs, n_levels):
-    """The sweep's result, or the type and message of the error it raised."""
+def outcome(profile_or_sweep, lower, upper, obs, n_levels):
+    """The call's result, or the type and message of the error it raised."""
     try:
-        return sweep(lower, upper, obs, n_levels)
+        return profile_or_sweep(lower, upper, obs, n_levels)
     except FriError as exc:
         return type(exc), str(exc)
 
@@ -577,9 +556,39 @@ def test_float_sweep_matches_sweep_oracle_across_dimensions(case, n_levels):
     ids=["1-level", "0-levels", "-3-levels", "unflanked", "gap-overflow"],
 )
 def test_float_sweep_fails_like_sweep_oracle(case, n_levels, error):
-    want = sweep_outcome(sweep_oracle, *case, n_levels)
-    assert sweep_outcome(_sweep_in_floats, *case, n_levels) == want
+    want = outcome(sweep_oracle, *case, n_levels)
+    assert outcome(_sweep_in_floats, *case, n_levels) == want
     assert want[0].__name__ == error
+
+
+# The library's α-profile against the CLI's plain-float profile, also at the
+# float extremes, where either may fail because a gap or a distance overflowed
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300)
+@given(st.one_of(profile_cases(), extreme_flanked_configs()), st.sampled_from((2, 3, 11, 101)))
+@example(flanked(*[(s,) for s in GAP_OVERFLOW]), 11)
+@example(SUBNORMAL_3D_CASE, 11)
+@example(SIDE_SCALES_CASE, 11)
+def test_profile_matches_float_profile(case, n_levels):
+    got, want = (outcome(f, *case, n_levels) for f in (kh_alpha_profile, _float_profile))
+    if isinstance(got, AlphaProfile):
+        got = (got.levels.tolist(), got.infs.tolist(), got.sups.tolist())
+    if len(got) == 2 or len(want) == 2:
+        # an error on either side: the same type and message on both
+        assert got == want
+        return
+    assert got[0] == want[0]
+    lower, upper, obs = case
+    if obs.dimension == 1:
+        assert [list(map(float.hex, side)) for side in got[1:]] == [
+            list(map(float.hex, side)) for side in want[1:]
+        ]
+    else:
+        # each endpoint is a weighted mean of consequent points, so a last-bit
+        # difference in a distance moves it by ulps of the largest of them
+        ulp = math.ulp(max(abs(b) for rule in (lower, upper) for b in rule.consequent.points()))
+        for g, w in zip(got[1:], want[1:]):
+            assert max(abs(x - y) for x, y in zip(g, w)) <= 4 * ulp
 
 
 # KH, the α-profile and both sweeps take the two-rule mean only between
