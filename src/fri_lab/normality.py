@@ -35,25 +35,32 @@ __all__ = [
 ]
 
 
-class Segment(Enum):
+class _Enum(Enum):
+    # Enum's own __hash__ is Python code, and the diagnostics key dicts by
+    # members; a member is a singleton compared by identity, so the identity
+    # hash agrees with == and runs in C.
+    __hash__ = object.__hash__
+
+
+class Segment(_Enum):
     LTB = "LTB"
     CORE = "Core"
     RTB = "RTB"
 
 
-class Verdict(Enum):
+class Verdict(_Enum):
     NORMAL = "NORMAL"
     PROBLEM = "PROBLEM"
     UNDEFINED = "UNDEFINED"
 
 
-class ConditionPath(Enum):
+class ConditionPath(_Enum):
     GENERAL = "GENERAL"
     UNIFORM_NONZERO = "UNIFORM_NONZERO"
     UNIFORM_ZERO = "UNIFORM_ZERO"
 
 
-class CaseTag(Enum):
+class CaseTag(_Enum):
     CASE1 = "CASE1"
     CASE2 = "CASE2"
     CASE3 = "CASE3"
@@ -142,17 +149,18 @@ def extract_segment_params(r1: Rule, r2: Rule, obs: Observation) -> dict[Segment
     b1 = r1.consequent.points()
     b2 = r2.consequent.points()
     x = obs.sets[0].points()
+    # positional, in field order: nine keywords cost about 0.7 us more per instance
     return {
         seg: SegmentParams(
-            ka1=a1[j] - a1[i],
-            ka2=a2[j] - a2[i],
-            kb1=b1[j] - b1[i],
-            kb2=b2[j] - b2[i],
-            kastar=x[j] - x[i],
-            da1=x[i] - a1[j],
-            da2=a2[i] - x[j],
-            da_gap=a2[i] - a1[j],
-            db=b2[i] - b1[j],
+            a1[j] - a1[i],  # ka1
+            a2[j] - a2[i],  # ka2
+            b1[j] - b1[i],  # kb1
+            b2[j] - b2[i],  # kb2
+            x[j] - x[i],  # kastar
+            x[i] - a1[j],  # da1
+            a2[i] - x[j],  # da2
+            a2[i] - a1[j],  # da_gap
+            b2[i] - b1[j],  # db
         )
         for seg, (i, j) in _SEGMENT_INDICES.items()
     }

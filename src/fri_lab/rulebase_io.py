@@ -40,13 +40,17 @@ FORMAT_VERSION = "1"
 _VALID_ARITIES = (1, 3, 4)
 
 
-def _check_arity(s: TrapezoidSet, arity: int, where: str) -> None:
+def _check_arity(s: TrapezoidSet, arity: int) -> str | None:
+    """Why ``s`` cannot have been written with ``arity`` numbers, or None."""
+    if arity == 4:
+        return None
     if arity not in _VALID_ARITIES:
-        raise ValidationError(f"{where}: arity must be 1, 3 or 4, got {arity}")
+        return f"arity must be 1, 3 or 4, got {arity}"
     if arity == 1 and not s.is_singleton:
-        raise ValidationError(f"{where}: arity 1 requires a singleton")
+        return "arity 1 requires a singleton"
     if arity == 3 and not s.is_triangle:
-        raise ValidationError(f"{where}: arity 3 requires a triangle")
+        return "arity 3 requires a triangle"
+    return None
 
 
 @frozen
@@ -87,8 +91,10 @@ class RuleBaseDocument:
             if len(ant_ar) != rule.dimension:
                 raise ValidationError(f"rules[{idx}]: arity record length mismatch")
             for d, (s, ar) in enumerate(zip(rule.antecedents, ant_ar)):
-                _check_arity(s, ar, f"rules[{idx}].antecedents[{d}]")
-            _check_arity(rule.consequent, con_ar, f"rules[{idx}].consequent")
+                if reason := _check_arity(s, ar):
+                    raise ValidationError(f"rules[{idx}].antecedents[{d}]: {reason}")
+            if reason := _check_arity(rule.consequent, con_ar):
+                raise ValidationError(f"rules[{idx}].consequent: {reason}")
         if self.observation is not None:
             if self.observation.dimension != self.dimension:
                 raise ValidationError(
@@ -100,7 +106,8 @@ class RuleBaseDocument:
             if len(arities) != self.dimension:
                 raise ValidationError("observation arity record length mismatch")
             for d, (s, ar) in enumerate(zip(self.observation.sets, arities)):
-                _check_arity(s, ar, f"observation[{d}]")
+                if reason := _check_arity(s, ar):
+                    raise ValidationError(f"observation[{d}]: {reason}")
         elif self.observation_arity is not None:
             raise ValidationError("observation arity recorded without an observation")
 
@@ -140,8 +147,13 @@ def _parse_sets(value: Any, where: str,
     """The sets of a non-empty array of sets, and the arity each was written with."""
     if not isinstance(value, list) or not value:
         raise ValidationError(empty)
-    sets, arities = zip(*[_parse_set(raw, f"{where}[{d}]") for d, raw in enumerate(value)])
-    return sets, arities
+    sets: list[TrapezoidSet] = []
+    arities: list[int] = []
+    for d, raw in enumerate(value):
+        s, arity = _parse_set(raw, f"{where}[{d}]")
+        sets.append(s)
+        arities.append(arity)
+    return tuple(sets), tuple(arities)
 
 
 def load_document(data: bytes | str) -> RuleBaseDocument:

@@ -52,7 +52,14 @@ class TrapezoidSet:
     a4: float
 
     def __post_init__(self) -> None:
-        pts = (self.a1, self.a2, self.a3, self.a4)
+        a1, a4 = self.a1, self.a4
+        try:
+            # finite ends and ordered points make every point finite
+            if math.isfinite(a1) and math.isfinite(a4) and a1 <= self.a2 <= self.a3 <= a4:
+                return
+        except (TypeError, OverflowError):
+            pass  # a non-number or an int beyond the float range: diagnosed below
+        pts = (a1, self.a2, self.a3, a4)
         if not all(math.isfinite(p) for p in pts):
             raise DomainError(f"abscissas must be finite, got {pts}")
         for k in range(3):
@@ -68,7 +75,7 @@ class TrapezoidSet:
         One value is a singleton, three values ``(a, b, c)`` a triangle
         mapped to ``(a, b, b, c)``, four values a trapezoid.
         """
-        vals = [float(v) for v in values]
+        vals = list(map(float, values))
         if len(vals) == 1:
             return cls(vals[0], vals[0], vals[0], vals[0])
         if len(vals) == 3:

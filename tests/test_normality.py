@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from fri_lab import (
@@ -216,3 +218,31 @@ class TestFullReport:
                 ratio = report.ratios[seg]
                 if ratio.verdict is not Verdict.UNDEFINED:
                     assert ratio.verdict is report.lengths[seg].verdict
+
+
+_MEMBERS = [
+    (Segment, [("LTB", "LTB"), ("CORE", "Core"), ("RTB", "RTB")]),
+    (Verdict, [("NORMAL", "NORMAL"), ("PROBLEM", "PROBLEM"), ("UNDEFINED", "UNDEFINED")]),
+    (ConditionPath, [("GENERAL", "GENERAL"), ("UNIFORM_NONZERO", "UNIFORM_NONZERO"),
+                     ("UNIFORM_ZERO", "UNIFORM_ZERO")]),
+    (CaseTag, [("CASE1", "CASE1"), ("CASE2", "CASE2"), ("CASE3", "CASE3"),
+               ("COROLLARY4", "COROLLARY4")]),
+]
+
+
+class TestEnums:
+    @pytest.mark.parametrize("enum, members", _MEMBERS, ids=[e.__name__ for e, _ in _MEMBERS])
+    def test_names_values_reprs_and_order(self, enum, members):
+        assert [(m.name, m.value) for m in enum] == members
+        assert [repr(m) for m in enum] == [f"<{enum.__name__}.{n}: {v!r}>" for n, v in members]
+
+    @pytest.mark.parametrize("enum", [e for e, _ in _MEMBERS], ids=lambda e: e.__name__)
+    def test_hash_is_identity_and_pickle_keeps_the_member(self, enum):
+        for member in enum:
+            assert hash(member) == object.__hash__(member)
+            assert pickle.loads(pickle.dumps(member)) is member
+
+    def test_dict_keyed_by_segment_finds_its_entries(self):
+        verdicts = direct_normality(ConclusionPoints(4, 4.5, 5.5, 6))
+        assert [verdicts[seg] for seg in Segment] == [Verdict.NORMAL] * 3
+        assert Segment("Core") in verdicts and Segment["RTB"] in verdicts

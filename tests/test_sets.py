@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fri_lab import (
     GradedPointList,
@@ -28,11 +30,13 @@ class TestMakeSet:
         assert s.points() == (2.0, 2.0, 2.0, 2.0)
 
     def test_ordering_violation_reports_first_bad_pair(self):
-        with pytest.raises(OrderingViolation, match="a2=3.0 > a3=2.0"):
+        message = "abscissas out of order: a2=3.0 > a3=2.0"
+        with pytest.raises(OrderingViolation, match=f"^{re.escape(message)}$"):
             TrapezoidSet(1.0, 3.0, 2.0, 4.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
+        message = "abscissas must be finite, got (1, 2, 3, inf)"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             TrapezoidSet(1, 2, 3, math.inf)
 
     def test_from_points_triangle(self):
@@ -44,6 +48,55 @@ class TestMakeSet:
     def test_from_points_bad_arity(self):
         with pytest.raises(DomainError):
             TrapezoidSet.from_points((1, 2))
+
+
+def _reference_check(a1, a2, a3, a4):
+    """TrapezoidSet's check as a loop over every point, the reference for its
+    one-comparison form."""
+    pts = (a1, a2, a3, a4)
+    if not all(math.isfinite(p) for p in pts):
+        raise DomainError(f"abscissas must be finite, got {pts}")
+    for k in range(3):
+        if pts[k] > pts[k + 1]:
+            raise OrderingViolation(
+                f"abscissas out of order: a{k + 1}={pts[k]} > a{k + 2}={pts[k + 1]}"
+            )
+
+
+def _outcome(check, pts):
+    try:
+        check(*pts)
+    except (DomainError, OrderingViolation, OverflowError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_ABSCISSAS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.integers(-3, 3),
+    st.sampled_from([10**400, -10**400]),
+)
+
+
+@st.composite
+def _four_abscissas(draw):
+    """Four values drawn from a pool of at most four, so neighbours are often
+    equal, and sorted half of the time, so valid sets are drawn often."""
+    pool = draw(st.lists(_ABSCISSAS, min_size=1, max_size=4))
+    pts = draw(st.lists(st.sampled_from(pool), min_size=4, max_size=4))
+    return sorted(pts) if draw(st.booleans()) else pts
+
+
+@settings(max_examples=500)
+@given(_four_abscissas())
+# finite ends checked first would raise OverflowError; the nan comes first
+@example([0.0, math.nan, 1.0, 10**400])
+@example([0, 1, 2, 10**400])
+@example([-0.0, 0.0, 0, -0.0])
+@example([0.0, None, 1.0, 2.0])  # not a number: the reference's TypeError
+def test_set_check_matches_reference_loop(pts):
+    assert _outcome(TrapezoidSet, pts) == _outcome(_reference_check, pts)
 
 
 class TestMembership:
