@@ -23,7 +23,7 @@ import math
 from typing import Any, Mapping
 
 from ._frozen import frozen
-from .errors import ParseError, ValidationError
+from .errors import FriError, ParseError, ValidationError
 from .interpolate import Observation, Rule, RuleBase
 from .sets import TrapezoidSet
 
@@ -38,6 +38,8 @@ __all__ = [
 FORMAT_VERSION = "1"
 
 _VALID_ARITIES = (1, 3, 4)
+_NUMBER_TYPES = frozenset((int, float))  # a bool's type is bool, so it fails
+_RULE_KEYS = {"antecedents", "consequent"}
 
 
 def _check_arity(s: TrapezoidSet, arity: int) -> str | None:
@@ -112,48 +114,68 @@ class RuleBaseDocument:
             raise ValidationError("observation arity recorded without an observation")
 
 
-def _as_number_list(value: Any, where: str) -> list[float]:
+def _accept_set(value: Any) -> TrapezoidSet:
+    """The set an array of 1, 3 or 4 ordered finite numbers describes. Any
+    other value raises FriError or OverflowError, naming no location."""
+    if type(value) is list and _NUMBER_TYPES.issuperset(map(type, value)):
+        return TrapezoidSet.from_points(value)
+    raise ValidationError("expected an array of numbers")
+
+
+def _accept_sets(value: Any) -> tuple[tuple[TrapezoidSet, ...], tuple[int, ...]]:
+    """The sets of a non-empty array of sets, and the arity each was written with."""
+    if type(value) is list and value:
+        return tuple(map(_accept_set, value)), tuple(map(len, value))
+    raise ValidationError("expected a non-empty array")
+
+
+# The diagnosis, run only in the handler of a failed acceptance: the checks, in
+# their order, raise the reason with the array's location, without that context.
+
+def _check_set(value: Any, where: str) -> None:
     if not isinstance(value, list) or not value:
-        raise ValidationError(f"{where}: expected a non-empty array of numbers")
-    out: list[float] = []
+        raise ValidationError(f"{where}: expected a non-empty array of numbers") from None
     for k, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ValidationError(f"{where}[{k}]: expected a number, got {item!r}")
+        if type(item) not in _NUMBER_TYPES:
+            raise ValidationError(f"{where}[{k}]: expected a number, got {item!r}") from None
         try:
-            v = float(item)
+            finite = math.isfinite(item)
         except OverflowError:  # an integer literal beyond the float range
-            v = math.inf
-        if not math.isfinite(v):
-            raise ValidationError(f"{where}[{k}]: value must be finite")
-        out.append(v)
-    return out
-
-
-def _parse_set(value: Any, where: str) -> tuple[TrapezoidSet, int]:
-    nums = _as_number_list(value, where)
-    if len(nums) not in _VALID_ARITIES:
-        raise ValidationError(f"{where}: expected 1, 3 or 4 numbers, got {len(nums)}")
+            finite = False
+        if not finite:
+            raise ValidationError(f"{where}[{k}]: value must be finite") from None
+    if len(value) not in _VALID_ARITIES:
+        raise ValidationError(f"{where}: expected 1, 3 or 4 numbers, got {len(value)}") from None
+    nums = list(map(float, value))
     for k in range(len(nums) - 1):
         if nums[k] > nums[k + 1]:
             raise ValidationError(
                 f"{where}: values must be non-decreasing "
                 f"(index {k}: {nums[k]} > {nums[k + 1]})"
-            )
-    return TrapezoidSet.from_points(nums), len(nums)
+            ) from None
 
 
-def _parse_sets(value: Any, where: str,
-                empty: str) -> tuple[tuple[TrapezoidSet, ...], tuple[int, ...]]:
-    """The sets of a non-empty array of sets, and the arity each was written with."""
+def _check_sets(value: Any, where: str, empty: str) -> None:
     if not isinstance(value, list) or not value:
-        raise ValidationError(empty)
-    sets: list[TrapezoidSet] = []
-    arities: list[int] = []
+        raise ValidationError(empty) from None
     for d, raw in enumerate(value):
-        s, arity = _parse_set(raw, f"{where}[{d}]")
-        sets.append(s)
-        arities.append(arity)
-    return tuple(sets), tuple(arities)
+        _check_set(raw, f"{where}[{d}]")
+
+
+def _diagnose(raw_rules: list, start: int, raw_observation: Any) -> None:
+    """Raise why rule ``start``, or else the observation, was rejected."""
+    for idx, raw_rule in enumerate(raw_rules[start:], start):
+        where = f"rules[{idx}]"
+        if not isinstance(raw_rule, dict):
+            raise ValidationError(f"{where}: expected an object") from None
+        if set(raw_rule) != _RULE_KEYS:
+            raise ValidationError(
+                f"{where}: expected keys 'antecedents' and 'consequent'") from None
+        _check_sets(raw_rule["antecedents"], f"{where}.antecedents",
+                    f"{where}.antecedents: expected a non-empty array")
+        _check_set(raw_rule["consequent"], f"{where}.consequent")
+    if raw_observation is not None:
+        _check_sets(raw_observation, "observation", "'observation' must be a non-empty array")
 
 
 def load_document(data: bytes | str) -> RuleBaseDocument:
@@ -197,25 +219,21 @@ def load_document(data: bytes | str) -> RuleBaseDocument:
         raise ValidationError("'rules' must be a non-empty array")
     rules: list[Rule] = []
     arities: list[tuple[tuple[int, ...], int]] = []
-    for idx, raw_rule in enumerate(raw_rules):
-        where = f"rules[{idx}]"
-        if not isinstance(raw_rule, dict):
-            raise ValidationError(f"{where}: expected an object")
-        if set(raw_rule) != {"antecedents", "consequent"}:
-            raise ValidationError(f"{where}: expected keys 'antecedents' and 'consequent'")
-        ants, ant_ars = _parse_sets(raw_rule["antecedents"], f"{where}.antecedents",
-                                    f"{where}.antecedents: expected a non-empty array")
-        consequent, con_ar = _parse_set(raw_rule["consequent"], f"{where}.consequent")
-        rules.append(Rule(ants, consequent))
-        arities.append((ant_ars, con_ar))
-
-    observation = None
-    observation_arity = None
-    if raw.get("observation") is not None:
-        sets, observation_arity = _parse_sets(
-            raw["observation"], "observation", "'observation' must be a non-empty array"
-        )
-        observation = Observation(sets)
+    observation = observation_arity = None
+    try:
+        for raw_rule in raw_rules:
+            if type(raw_rule) is not dict or raw_rule.keys() != _RULE_KEYS:
+                raise ValidationError("expected a rule object")
+            ants, ant_ars = _accept_sets(raw_rule["antecedents"])
+            consequent = raw_rule["consequent"]
+            rules.append(Rule(ants, _accept_set(consequent)))
+            arities.append((ant_ars, len(consequent)))
+        if raw.get("observation") is not None:
+            sets, observation_arity = _accept_sets(raw["observation"])
+            observation = Observation(sets)
+    except (FriError, OverflowError):  # OverflowError: an int beyond the float range
+        _diagnose(raw_rules, len(rules), raw.get("observation"))
+        raise  # reached only if the checks passed what acceptance rejected
 
     metadata: dict[str, str] = {}
     if raw.get("metadata") is not None:

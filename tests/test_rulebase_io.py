@@ -1,8 +1,11 @@
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fri_lab import (
     FORMAT_VERSION,
@@ -15,7 +18,7 @@ from fri_lab import (
     save_document,
     to_rulebase,
 )
-from fri_lab.errors import ParseError, ValidationError
+from fri_lab.errors import FriError, ParseError, ValidationError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TRAPEZOID = TrapezoidSet(1, 2, 3, 4)
@@ -128,6 +131,28 @@ class TestLoad:
             load_document(text)
 
     @pytest.mark.parametrize(
+        "array, where",
+        [("[7, 8, 9]", "rules[1].antecedents[0]"), ("[2, 2, 2]", "rules[0].consequent"),
+         ("[4, 5, 5, 6]", "observation[0]")],
+        ids=["antecedent", "consequent", "observation"],
+    )
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ("[4, true, 5, 6]", "[1]: expected a number, got True"),
+            ("[4, NaN, 5, 6]", "[1]: value must be finite"),
+            ("[4, 1" + "0" * 400 + ", 5, 6]", "[1]: value must be finite"),
+            ("[4, 5]", ": expected 1, 3 or 4 numbers, got 2"),
+            ("[1, 3, 2, 4]", ": values must be non-decreasing (index 1: 3.0 > 2.0)"),
+            ("[]", ": expected a non-empty array of numbers"),
+        ],
+        ids=["bool", "nan", "huge-int", "two-numbers", "descending", "empty"],
+    )
+    def test_rejected_set_names_its_location(self, array, where, value, reason):
+        with pytest.raises(ValidationError, match=f"^{re.escape(where + reason)}$"):
+            load_document(EXAMPLE1_TEXT.replace(array, value))
+
+    @pytest.mark.parametrize(
         "fields, message",
         [
             ({"rule_arities": (((2,), 4),)},
@@ -218,3 +243,167 @@ class TestShippedFixtures:
         path = FIXTURES / f"example_{case_id:02d}.json"
         data = path.read_bytes()
         assert save_document(load_document(data)) == data
+
+
+def _reference_load(text: str) -> RuleBaseDocument:
+    """The loader as it checked every number and then built each set, kept as
+    the reference for the one-test acceptance of ``load_document``. It takes
+    the JSON text only; the UTF-8 and JSON errors are not its concern."""
+
+    def as_number_list(value, where):
+        if not isinstance(value, list) or not value:
+            raise ValidationError(f"{where}: expected a non-empty array of numbers")
+        out = []
+        for k, item in enumerate(value):
+            if isinstance(item, bool) or not isinstance(item, (int, float)):
+                raise ValidationError(f"{where}[{k}]: expected a number, got {item!r}")
+            try:
+                v = float(item)
+            except OverflowError:
+                v = math.inf
+            if not math.isfinite(v):
+                raise ValidationError(f"{where}[{k}]: value must be finite")
+            out.append(v)
+        return out
+
+    def parse_set(value, where):
+        nums = as_number_list(value, where)
+        if len(nums) not in (1, 3, 4):
+            raise ValidationError(f"{where}: expected 1, 3 or 4 numbers, got {len(nums)}")
+        for k in range(len(nums) - 1):
+            if nums[k] > nums[k + 1]:
+                raise ValidationError(
+                    f"{where}: values must be non-decreasing "
+                    f"(index {k}: {nums[k]} > {nums[k + 1]})"
+                )
+        return TrapezoidSet.from_points(nums), len(nums)
+
+    def parse_sets(value, where, empty):
+        if not isinstance(value, list) or not value:
+            raise ValidationError(empty)
+        parsed = [parse_set(raw, f"{where}[{d}]") for d, raw in enumerate(value)]
+        return tuple(s for s, _ in parsed), tuple(a for _, a in parsed)
+
+    raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValidationError("top level must be an object")
+    unknown = set(raw) - {"version", "dimension", "rules", "observation", "metadata"}
+    if unknown:
+        raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
+    version = raw.get("version")
+    if not isinstance(version, str):
+        raise ValidationError("missing or non-string 'version'")
+    dimension = raw.get("dimension")
+    if isinstance(dimension, bool) or not isinstance(dimension, int):
+        raise ValidationError("missing or non-integer 'dimension'")
+    raw_rules = raw.get("rules")
+    if not isinstance(raw_rules, list) or not raw_rules:
+        raise ValidationError("'rules' must be a non-empty array")
+    rules, arities = [], []
+    for idx, raw_rule in enumerate(raw_rules):
+        where = f"rules[{idx}]"
+        if not isinstance(raw_rule, dict):
+            raise ValidationError(f"{where}: expected an object")
+        if set(raw_rule) != {"antecedents", "consequent"}:
+            raise ValidationError(f"{where}: expected keys 'antecedents' and 'consequent'")
+        ants, ant_ars = parse_sets(raw_rule["antecedents"], f"{where}.antecedents",
+                                   f"{where}.antecedents: expected a non-empty array")
+        consequent, con_ar = parse_set(raw_rule["consequent"], f"{where}.consequent")
+        rules.append(Rule(ants, consequent))
+        arities.append((ant_ars, con_ar))
+    observation = observation_arity = None
+    if raw.get("observation") is not None:
+        sets, observation_arity = parse_sets(
+            raw["observation"], "observation", "'observation' must be a non-empty array"
+        )
+        observation = Observation(sets)
+    metadata = {}
+    if raw.get("metadata") is not None:
+        raw_meta = raw["metadata"]
+        if not isinstance(raw_meta, dict):
+            raise ValidationError("'metadata' must be an object")
+        for key, value in raw_meta.items():
+            if not isinstance(value, str):
+                raise ValidationError(f"metadata[{key!r}]: expected a string")
+            metadata[key] = value
+    return RuleBaseDocument(version, dimension, tuple(rules), observation, metadata,
+                            tuple(arities), observation_arity)
+
+
+DOCS = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("example_*.json"))]
+HUGE = "@1e400"  # json.dumps cannot write this literal: the text gets it in place of the string
+BAD_ITEMS = (True, "1", None, [], {}, math.nan, math.inf, -math.inf, HUGE, 10**400, -(10**400))
+
+
+@st.composite
+def _mutated_set(draw, points):
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(points) - 1))
+        return points[:k] + [draw(st.sampled_from(BAD_ITEMS))] + points[k + 1:]
+    return draw(st.sampled_from([
+        [], points[:1] * 2, points + points[:1], points[::-1], [1, 3, 2, 4],
+        points[:1], [int(p) for p in points], 5, "1", None, {}, True,
+    ]))
+
+
+def _set_paths(doc):
+    for i, rule in enumerate(doc["rules"]):
+        yield from (("rules", i, "antecedents", d) for d in range(len(rule["antecedents"])))
+        yield ("rules", i, "consequent")
+    yield from (("observation", d) for d in range(len(doc.get("observation", ()))))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A shipped fixture, in one or two dimensions, with up to three of its
+    sets changed (most into invalid arrays) and at most one rule or
+    observation made malformed."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(DOCS))))
+    if draw(st.booleans()):
+        doc["dimension"] = 2
+        for rule in doc["rules"]:
+            rule["antecedents"] *= 2
+        doc["observation"] *= 2
+    for path in draw(st.lists(st.sampled_from(list(_set_paths(doc))), max_size=3, unique=True)):
+        *head, last = path
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        parent[last] = draw(_mutated_set(parent[last]))
+    rule = draw(st.sampled_from(doc["rules"]))
+    change = draw(st.sampled_from(["none"] * 8 + [
+        "drop", "extra", "not-object", "no-antecedents", "antecedents-scalar",
+        "no-observation", "empty-observation",
+    ]))
+    if change == "drop":
+        del rule[draw(st.sampled_from(["antecedents", "consequent"]))]
+    elif change == "extra":
+        rule["weight"] = 1
+    elif change == "not-object":
+        doc["rules"][draw(st.integers(0, len(doc["rules"]) - 1))] = [rule]
+    elif change in ("no-antecedents", "antecedents-scalar"):
+        rule["antecedents"] = [] if change == "no-antecedents" else 7
+    elif change == "no-observation":
+        doc.pop("observation")
+    elif change == "empty-observation":
+        doc["observation"] = []
+    return json.dumps(doc).replace(f'"{HUGE}"', "1e400")
+
+
+def _load_outcome(load, text):
+    try:
+        doc = load(text)
+    except FriError as exc:
+        return type(exc), str(exc)
+    return doc, doc.rule_arities, doc.observation_arity
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_documents())
+@example(json.dumps(DOCS[0]).replace("3.0", "true", 1))
+@example(json.dumps(DOCS[0]).replace("9.0", "1" + "0" * 400, 1))
+@example(json.dumps(DOCS[0]).replace("9.0", "1e400", 1))
+def test_loader_matches_reference(text):
+    """Every mutated document loads to the same document as the reference
+    loader, or fails with the same exception class and message."""
+    assert _load_outcome(load_document, text) == _load_outcome(_reference_load, text)
