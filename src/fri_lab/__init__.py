@@ -6,7 +6,8 @@ normal fuzzy set, and ships a nine-case golden benchmark reproducing the
 published expectations for both the normal and the abnormal regimes.
 
 Importing the package loads none of its modules: each public name, and each
-module, is imported on first access.
+module, is imported on first access. ``_EXPORTS`` is the one list of public
+names and of the module that owns each; the modules declare no ``__all__``.
 """
 from importlib import import_module
 

@@ -22,21 +22,6 @@ from .interpolate import (
 from .normality import CaseTag, ConditionPath, NormalityReport, Segment, Verdict, full_report
 from .sets import TrapezoidSet
 
-__all__ = [
-    "ExpectedSegment",
-    "ReferenceRow",
-    "BenchmarkCase",
-    "CheckResult",
-    "CaseReport",
-    "BenchmarkReport",
-    "ReferenceComparison",
-    "PRINTED_TOL",
-    "builtin_cases",
-    "run_case",
-    "run_all",
-    "compare_reference",
-]
-
 #: Tolerance against published values, which are rounded to 2-3 decimals.
 PRINTED_TOL = 0.011
 

@@ -97,17 +97,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         for check in result.checks:
             seg = check.segment.name if check.segment is not None else "-"
-            rows.append(
-                (
-                    case.case_id,
-                    seg,
-                    check.name,
-                    repr(check.computed) if isinstance(check.computed, float) else check.computed,
-                    repr(check.expected) if isinstance(check.expected, float) else check.expected,
-                    "" if check.deviation is None else repr(check.deviation),
-                    "pass" if check.passed else "fail",
-                )
-            )
+            # csv writes a float as its repr and None as an empty field
+            rows.append((case.case_id, seg, check.name, check.computed, check.expected,
+                         check.deviation, "pass" if check.passed else "fail"))
             if not check.passed:
                 out.append(
                     f"  MISMATCH {seg}/{check.name}: computed={check.computed} "

@@ -19,18 +19,6 @@ from ._frozen import frozen
 from .errors import DimensionError, DomainError, NotFlanked, OrderingViolation
 from .sets import GradedPointList, TrapezoidSet, precedes
 
-__all__ = [
-    "TOL",
-    "Rule",
-    "RuleBase",
-    "Observation",
-    "ConclusionPoints",
-    "select_flanking",
-    "kh_characteristic_points",
-    "khstab_points",
-    "assemble_conclusion",
-]
-
 #: Absolute tolerance of :func:`_at_most` and :func:`_close`, which decide every verdict,
 #: order, nesting and equality test on computed values (not those against published values).
 TOL = 1e-9

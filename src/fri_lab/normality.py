@@ -17,23 +17,6 @@ from .errors import DimensionError
 from .interpolate import (ConclusionPoints, Observation, Rule, _at_most, _close,
                           kh_characteristic_points)
 
-__all__ = [
-    "Segment",
-    "Verdict",
-    "ConditionPath",
-    "CaseTag",
-    "SegmentParams",
-    "LengthDiagnostics",
-    "RatioDiagnostics",
-    "NormalityReport",
-    "extract_segment_params",
-    "length_condition",
-    "ratio_condition",
-    "classify_case",
-    "direct_normality",
-    "full_report",
-]
-
 
 class _Enum(Enum):
     # Enum's own __hash__ is Python code, and the diagnostics key dicts by

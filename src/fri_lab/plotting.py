@@ -12,8 +12,6 @@ import sys
 from .interpolate import Observation, Rule
 from .sets import GradedPointList, TrapezoidSet
 
-__all__ = ["render_interpolation_svg"]
-
 WIDTH = 800
 HEIGHT = 300
 

@@ -19,8 +19,6 @@ from .interpolate import Observation, Rule, _at_most, _gaps, _weighted_mean
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["AlphaProfile", "SweepOracleResult", "kh_alpha_profile", "sweep_oracle"]
-
 
 @frozen
 class AlphaProfile:

@@ -27,14 +27,6 @@ from .errors import FriError, ParseError, ValidationError
 from .interpolate import Observation, Rule, RuleBase
 from .sets import TrapezoidSet
 
-__all__ = [
-    "FORMAT_VERSION",
-    "RuleBaseDocument",
-    "load_document",
-    "save_document",
-    "to_rulebase",
-]
-
 FORMAT_VERSION = "1"
 
 _VALID_ARITIES = (1, 3, 4)
@@ -68,12 +60,17 @@ class RuleBaseDocument:
     observation_arity: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "metadata", dict(self.metadata))
+        for key, value in self.metadata.items():
+            if not isinstance(key, str):
+                raise ValidationError(f"metadata key {key!r}: expected a string")
+            if not isinstance(value, str):
+                raise ValidationError(f"metadata[{key!r}]: expected a string")
         if self.version != FORMAT_VERSION:
             raise ValidationError(f"unknown document version {self.version!r}")
         if self.dimension < 1:
             raise ValidationError(f"dimension must be positive, got {self.dimension}")
         object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "metadata", dict(self.metadata))
         if not self.rules:
             raise ValidationError("document contains no rules")
         if not self.rule_arities:
@@ -235,15 +232,11 @@ def load_document(data: bytes | str) -> RuleBaseDocument:
         _diagnose(raw_rules, len(rules), raw.get("observation"))
         raise  # reached only if the checks passed what acceptance rejected
 
-    metadata: dict[str, str] = {}
-    if raw.get("metadata") is not None:
-        raw_meta = raw["metadata"]
-        if not isinstance(raw_meta, dict):
-            raise ValidationError("'metadata' must be an object")
-        for key, value in raw_meta.items():
-            if not isinstance(value, str):
-                raise ValidationError(f"metadata[{key!r}]: expected a string")
-            metadata[key] = value
+    metadata = raw.get("metadata")
+    if metadata is None:
+        metadata = {}
+    elif not isinstance(metadata, dict):
+        raise ValidationError("'metadata' must be an object")
 
     return RuleBaseDocument(
         version=version,

@@ -13,15 +13,6 @@ from typing import Iterator, Sequence
 from ._frozen import frozen
 from .errors import DomainError, OrderingViolation
 
-__all__ = [
-    "Interval",
-    "TrapezoidSet",
-    "GradedPointList",
-    "membership_grade",
-    "alpha_cut",
-    "precedes",
-]
-
 
 @frozen
 class Interval:
@@ -120,14 +111,6 @@ class GradedPointList:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def abscissas(self) -> tuple[float, ...]:
-        return tuple(x for x, _ in self.points)
-
-    @property
-    def grades(self) -> tuple[float, ...]:
-        return tuple(g for _, g in self.points)
 
 
 def membership_grade(s: TrapezoidSet, x: float) -> float:

@@ -683,75 +683,40 @@ def test_library_without_numpy_sweeps_in_floats_and_names_numpy():
     }
 
 
+# what a document command loads, and what it must not: the benchmark, the
+# plotting, csv, the profile and the modules the value classes avoid
+DOCUMENT_COMMAND = (
+    {"fri_lab.normality", "fri_lab.interpolate", "fri_lab.sets"},
+    {"numpy", "fri_lab.benchmark", "fri_lab.plotting", "csv", "fri_lab.profile",
+     "dataclasses", "inspect"},
+)
+
+
+# each command line runs once, against the modules it must load and those it
+# must not; the commands sweep in plain floats, the library's sweep keeps numpy
 @pytest.mark.parametrize(
-    "probe, argv, loads_numpy",
+    "probe, argv, loads, skips",
     [
-        (MODULES_PROBE, [], False),
-        (MODULES_PROBE, ["validate", fixture(6)], False),
-        (MODULES_PROBE, ["interpolate", fixture(6)], False),
-        (MODULES_PROBE, ["bench"], False),
-        (MODULES_PROBE, ["plot", fixture(6), "-o", "{tmp}/ex6.svg"], False),
-        (MODULES_PROBE, ["interpolate", fixture(6), "--method", "khstab"], False),
-        # the commands sweep in plain floats; the library's sweep keeps numpy
-        (MODULES_PROBE, ["interpolate", fixture(6), "--sweep", "11"], False),
-        (MODULES_PROBE, ["bench", "--sweep", "11"], False),
-        (LIBRARY_SWEEP_PROBE, [], True),
+        (MODULES_PROBE, [], set(), {"numpy"}),
+        (MODULES_PROBE, ["validate", fixture(6)], *DOCUMENT_COMMAND),
+        (MODULES_PROBE, ["interpolate", fixture(6)], *DOCUMENT_COMMAND),
+        (MODULES_PROBE, ["bench"], {"fri_lab.interpolate", "fri_lab.sets"},
+         {"numpy", "fri_lab.profile", "dataclasses", "inspect"}),
+        (MODULES_PROBE, ["plot", fixture(6), "-o", "{tmp}/ex6.svg"], {"fri_lab.sets"},
+         {"numpy", "dataclasses", "inspect"}),
+        (MODULES_PROBE, ["interpolate", fixture(6), "--method", "khstab"], *DOCUMENT_COMMAND),
+        (MODULES_PROBE, ["interpolate", fixture(6), "--sweep", "11"], {"fri_lab.normality"},
+         {"numpy", "fri_lab.benchmark", "fri_lab.plotting", "csv"}),
+        (MODULES_PROBE, ["bench", "--sweep", "11"], set(), {"numpy"}),
+        (LIBRARY_SWEEP_PROBE, [], {"numpy"}, set()),
     ],
     ids=["import", "validate", "interpolate", "bench", "plot", "interpolate-khstab",
          "interpolate-sweep", "bench-sweep", "library-sweep"],
 )
-def test_numpy_loads_only_for_profiles_and_sweeps(tmp_path, probe, argv, loads_numpy):
-    assert ("numpy" in modules_loaded(tmp_path, argv, probe)) == loads_numpy
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate", fixture(6)],
-        ["interpolate", fixture(6)],
-        ["interpolate", fixture(6), "--method", "khstab"],
-        ["interpolate", fixture(6), "--sweep", "11"],
-    ],
-    ids=["validate", "interpolate", "interpolate-khstab", "interpolate-sweep"],
-)
-def test_document_commands_load_no_benchmark_plotting_or_csv(tmp_path, argv):
-    unused = {"fri_lab.benchmark", "fri_lab.plotting", "csv"}
-    loaded = modules_loaded(tmp_path, argv)
-    assert "fri_lab.normality" in loaded
-    assert not loaded & unused
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate", fixture(6)],
-        ["interpolate", fixture(6)],
-        ["interpolate", fixture(6), "--method", "khstab"],
-        ["bench"],
-    ],
-    ids=["validate", "interpolate", "interpolate-khstab", "bench"],
-)
-def test_commands_without_a_sweep_load_no_profile(tmp_path, argv):
-    loaded = modules_loaded(tmp_path, argv)
-    assert "fri_lab.interpolate" in loaded
-    assert "fri_lab.profile" not in loaded
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate", fixture(6)],
-        ["interpolate", fixture(6)],
-        ["interpolate", fixture(6), "--method", "khstab"],
-        ["plot", fixture(6), "-o", "{tmp}/ex6.svg"],
-        ["bench"],
-    ],
-    ids=["validate", "interpolate", "interpolate-khstab", "plot", "bench"],
-)
-def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
-    loaded = modules_loaded(tmp_path, argv)
-    assert "fri_lab.sets" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+def test_numpy_loads_only_for_profiles_and_sweeps(tmp_path, probe, argv, loads, skips):
+    loaded = modules_loaded(tmp_path, argv, probe)
+    assert loads <= loaded
+    assert not loaded & skips
 
 
 @pytest.mark.parametrize(
@@ -796,3 +761,13 @@ def test_package_namespace_is_lazy_and_complete():
     assert report["unknown"] == "module 'fri_lab' has no attribute 'no_such_name'"
     assert report["unbound"] == []
     assert report["dir"]
+
+
+def test_every_public_name_is_listed_under_the_module_that_defines_it():
+    # a name listed under a module that only imports it still resolves, but
+    # loads that module for nothing
+    public = {name: getattr(fri_lab, name) for name in fri_lab._OWNER}
+    constants = {name for name, value in public.items() if isinstance(value, str)}
+    assert constants == {"FORMAT_VERSION"}
+    defined = {name: value.__module__ for name, value in public.items() if name not in constants}
+    assert defined == {name: f"fri_lab.{fri_lab._OWNER[name]}" for name in defined}

@@ -436,8 +436,9 @@ class TestAssembleConclusion:
             )
         )
         assert isinstance(shape, GradedPointList)
-        assert shape.abscissas == pytest.approx((4.7, 5.7, 4.7, 6.608))
-        assert shape.grades == (0.0, 1.0, 1.0, 0.0)
+        abscissas, grades = zip(*shape.points)
+        assert abscissas == pytest.approx((4.7, 5.7, 4.7, 6.608))
+        assert grades == (0.0, 1.0, 1.0, 0.0)
 
     def test_singleton_points(self):
         from fri_lab import ConclusionPoints

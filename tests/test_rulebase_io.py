@@ -207,6 +207,21 @@ class TestRoundTrip:
         assert payload["rules"][0]["antecedents"][0] == [1.0, 2.0, 2.0, 3.0]
         assert payload["rules"][0]["consequent"] == [2.0, 2.0, 2.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "metadata, message",
+        [
+            ({"n": 5}, "metadata['n']: expected a string"),
+            ({"n": None}, "metadata['n']: expected a string"),
+            ({1: "x"}, "metadata key 1: expected a string"),
+        ],
+        ids=["int-value", "null-value", "int-key"],
+    )
+    def test_metadata_that_cannot_round_trip_is_rejected_when_built(self, metadata, message):
+        # save_document would write a file that load_document rejects or reads back changed
+        rule = Rule((TRAPEZOID,), TRAPEZOID)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RuleBaseDocument(FORMAT_VERSION, 1, (rule,), metadata=metadata)
+
     def test_full_precision_numbers(self):
         rule = Rule(
             (TrapezoidSet(0.1, 0.2, 0.30000000000000004, 1 / 3),),
