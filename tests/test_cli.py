@@ -683,40 +683,65 @@ def test_library_without_numpy_sweeps_in_floats_and_names_numpy():
     }
 
 
-# what a document command loads, and what it must not: the benchmark, the
-# plotting, csv, the profile and the modules the value classes avoid
-DOCUMENT_COMMAND = (
-    {"fri_lab.normality", "fri_lab.interpolate", "fri_lab.sets"},
-    {"numpy", "fri_lab.benchmark", "fri_lab.plotting", "csv", "fri_lab.profile",
-     "dataclasses", "inspect"},
-)
+# every command line of the module-loading contract, by id; each runs once,
+# and the four tests below check their part of what it loaded
+COMMAND_LINES = {
+    "import": (MODULES_PROBE, []),
+    "validate": (MODULES_PROBE, ["validate", fixture(6)]),
+    "interpolate": (MODULES_PROBE, ["interpolate", fixture(6)]),
+    "bench": (MODULES_PROBE, ["bench"]),
+    "plot": (MODULES_PROBE, ["plot", fixture(6), "-o", "{tmp}/ex6.svg"]),
+    "interpolate-khstab": (MODULES_PROBE, ["interpolate", fixture(6), "--method", "khstab"]),
+    "interpolate-sweep": (MODULES_PROBE, ["interpolate", fixture(6), "--sweep", "11"]),
+    "bench-sweep": (MODULES_PROBE, ["bench", "--sweep", "11"]),
+    "library-sweep": (LIBRARY_SWEEP_PROBE, []),
+}
 
 
-# each command line runs once, against the modules it must load and those it
-# must not; the commands sweep in plain floats, the library's sweep keeps numpy
+@pytest.fixture(scope="module")
+def loaded_by(tmp_path_factory):
+    """The modules that the command line of an id loaded, run on first request."""
+    tmp = tmp_path_factory.mktemp("modules")
+    loaded: dict[str, set[str]] = {}
+
+    def lookup(name: str) -> set[str]:
+        if name not in loaded:
+            probe, argv = COMMAND_LINES[name]
+            loaded[name] = modules_loaded(tmp, argv, probe)
+        return loaded[name]
+
+    return lookup
+
+
+# the commands sweep in plain floats; the library's sweep keeps numpy
+@pytest.mark.parametrize("name", COMMAND_LINES)
+def test_numpy_loads_only_for_profiles_and_sweeps(loaded_by, name):
+    assert ("numpy" in loaded_by(name)) == (name == "library-sweep")
+
+
 @pytest.mark.parametrize(
-    "probe, argv, loads, skips",
-    [
-        (MODULES_PROBE, [], set(), {"numpy"}),
-        (MODULES_PROBE, ["validate", fixture(6)], *DOCUMENT_COMMAND),
-        (MODULES_PROBE, ["interpolate", fixture(6)], *DOCUMENT_COMMAND),
-        (MODULES_PROBE, ["bench"], {"fri_lab.interpolate", "fri_lab.sets"},
-         {"numpy", "fri_lab.profile", "dataclasses", "inspect"}),
-        (MODULES_PROBE, ["plot", fixture(6), "-o", "{tmp}/ex6.svg"], {"fri_lab.sets"},
-         {"numpy", "dataclasses", "inspect"}),
-        (MODULES_PROBE, ["interpolate", fixture(6), "--method", "khstab"], *DOCUMENT_COMMAND),
-        (MODULES_PROBE, ["interpolate", fixture(6), "--sweep", "11"], {"fri_lab.normality"},
-         {"numpy", "fri_lab.benchmark", "fri_lab.plotting", "csv"}),
-        (MODULES_PROBE, ["bench", "--sweep", "11"], set(), {"numpy"}),
-        (LIBRARY_SWEEP_PROBE, [], {"numpy"}, set()),
-    ],
-    ids=["import", "validate", "interpolate", "bench", "plot", "interpolate-khstab",
-         "interpolate-sweep", "bench-sweep", "library-sweep"],
+    "name", ["validate", "interpolate", "interpolate-khstab", "interpolate-sweep"]
 )
-def test_numpy_loads_only_for_profiles_and_sweeps(tmp_path, probe, argv, loads, skips):
-    loaded = modules_loaded(tmp_path, argv, probe)
-    assert loads <= loaded
-    assert not loaded & skips
+def test_document_commands_load_no_benchmark_plotting_or_csv(loaded_by, name):
+    loaded = loaded_by(name)
+    assert "fri_lab.normality" in loaded
+    assert not loaded & {"fri_lab.benchmark", "fri_lab.plotting", "csv"}
+
+
+@pytest.mark.parametrize("name", ["validate", "interpolate", "interpolate-khstab", "bench"])
+def test_commands_without_a_sweep_load_no_profile(loaded_by, name):
+    loaded = loaded_by(name)
+    assert "fri_lab.interpolate" in loaded
+    assert "fri_lab.profile" not in loaded
+
+
+@pytest.mark.parametrize(
+    "name", ["validate", "interpolate", "interpolate-khstab", "plot", "bench"]
+)
+def test_commands_load_neither_dataclasses_nor_inspect(loaded_by, name):
+    loaded = loaded_by(name)
+    assert "fri_lab.sets" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
