@@ -10,17 +10,18 @@ Document format (version "1"): a JSON object with top-level keys
 
 Each fuzzy-set array holds 1, 3 or 4 non-decreasing numbers: one value is a
 singleton, three a triangle, four a trapezoid. Arrays are canonicalised to
-the 4-point form in memory; the arity each array was written with is
-recorded so saving reproduces the input form, while documents built
-programmatically from canonical sets are saved in 4-point form (the original
-arity of a degenerate set remains visible in its repeated abscissas).
+the 4-point form in memory. How many numbers each array was written with is
+kept by the loader, not by the document's value: ``[1, 2, 3]`` and
+``[1, 2, 2, 3]`` load to equal documents, and each saves back as it was
+written. A document built in code is saved in 4-point form.
 Numbers are serialised at full precision and round-trip exactly.
 """
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from ._frozen import frozen
 from .errors import FriError, ParseError, ValidationError
@@ -34,32 +35,25 @@ _NUMBER_TYPES = frozenset((int, float))  # a bool's type is bool, so it fails
 _RULE_KEYS = {"antecedents", "consequent"}
 
 
-def _check_arity(s: TrapezoidSet, arity: int) -> str | None:
-    """Why ``s`` cannot have been written with ``arity`` numbers, or None."""
-    if arity == 4:
-        return None
-    if arity not in _VALID_ARITIES:
-        return f"arity must be 1, 3 or 4, got {arity}"
-    if arity == 1 and not s.is_singleton:
-        return "arity 1 requires a singleton"
-    if arity == 3 and not s.is_triangle:
-        return "arity 3 requires a triangle"
-    return None
-
-
 @frozen
 class RuleBaseDocument:
-    """A parsed rule-base document with per-array arity records."""
+    """A rule-base document: its version, dimension, rules, optional
+    observation and metadata."""
 
     version: str
     dimension: int
     rules: tuple[Rule, ...]
     observation: Observation | None = None
     metadata: Mapping[str, str] = {}  # copied in __post_init__, never shared
-    rule_arities: tuple[tuple[tuple[int, ...], int], ...] = ()
-    observation_arity: tuple[int, ...] | None = None
+
+    # Not a field: set by load_document to how many numbers each array was
+    # written with, ``(((antecedent lengths), consequent length) per rule,
+    # observation lengths or None)``, so save_document writes it back.
+    _written = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.metadata, Mapping):
+            raise ValidationError(f"metadata must be a mapping, got {self.metadata!r}")
         object.__setattr__(self, "metadata", dict(self.metadata))
         for key, value in self.metadata.items():
             if not isinstance(key, str):
@@ -68,47 +62,22 @@ class RuleBaseDocument:
                 raise ValidationError(f"metadata[{key!r}]: expected a string")
         if self.version != FORMAT_VERSION:
             raise ValidationError(f"unknown document version {self.version!r}")
+        if type(self.dimension) is not int:  # a bool's type is bool, so it fails
+            raise ValidationError(f"dimension must be an integer, got {self.dimension!r}")
         if self.dimension < 1:
             raise ValidationError(f"dimension must be positive, got {self.dimension}")
         object.__setattr__(self, "rules", tuple(self.rules))
         if not self.rules:
             raise ValidationError("document contains no rules")
-        if not self.rule_arities:
-            object.__setattr__(
-                self,
-                "rule_arities",
-                tuple(((4,) * r.dimension, 4) for r in self.rules),
-            )
-        object.__setattr__(self, "rule_arities", tuple(self.rule_arities))
-        if len(self.rule_arities) != len(self.rules):
-            raise ValidationError("arity records do not match the rule count")
-        for idx, (rule, (ant_ar, con_ar)) in enumerate(zip(self.rules, self.rule_arities)):
+        for idx, rule in enumerate(self.rules):
             if rule.dimension != self.dimension:
                 raise ValidationError(
                     f"rules[{idx}] has {rule.dimension} antecedents, expected {self.dimension}"
                 )
-            if len(ant_ar) != rule.dimension:
-                raise ValidationError(f"rules[{idx}]: arity record length mismatch")
-            for d, (s, ar) in enumerate(zip(rule.antecedents, ant_ar)):
-                if reason := _check_arity(s, ar):
-                    raise ValidationError(f"rules[{idx}].antecedents[{d}]: {reason}")
-            if reason := _check_arity(rule.consequent, con_ar):
-                raise ValidationError(f"rules[{idx}].consequent: {reason}")
-        if self.observation is not None:
-            if self.observation.dimension != self.dimension:
-                raise ValidationError(
-                    f"observation has {self.observation.dimension} sets, "
-                    f"expected {self.dimension}"
-                )
-            arities = self.observation_arity or (4,) * self.dimension
-            object.__setattr__(self, "observation_arity", tuple(arities))
-            if len(arities) != self.dimension:
-                raise ValidationError("observation arity record length mismatch")
-            for d, (s, ar) in enumerate(zip(self.observation.sets, arities)):
-                if reason := _check_arity(s, ar):
-                    raise ValidationError(f"observation[{d}]: {reason}")
-        elif self.observation_arity is not None:
-            raise ValidationError("observation arity recorded without an observation")
+        if self.observation is not None and self.observation.dimension != self.dimension:
+            raise ValidationError(
+                f"observation has {self.observation.dimension} sets, expected {self.dimension}"
+            )
 
 
 def _accept_set(value: Any) -> TrapezoidSet:
@@ -215,8 +184,8 @@ def load_document(data: bytes | str) -> RuleBaseDocument:
     if not isinstance(raw_rules, list) or not raw_rules:
         raise ValidationError("'rules' must be a non-empty array")
     rules: list[Rule] = []
-    arities: list[tuple[tuple[int, ...], int]] = []
-    observation = observation_arity = None
+    rule_lengths: list[tuple[tuple[int, ...], int]] = []
+    observation = observation_lengths = None
     try:
         for raw_rule in raw_rules:
             if type(raw_rule) is not dict or raw_rule.keys() != _RULE_KEYS:
@@ -224,9 +193,9 @@ def load_document(data: bytes | str) -> RuleBaseDocument:
             ants, ant_ars = _accept_sets(raw_rule["antecedents"])
             consequent = raw_rule["consequent"]
             rules.append(Rule(ants, _accept_set(consequent)))
-            arities.append((ant_ars, len(consequent)))
+            rule_lengths.append((ant_ars, len(consequent)))
         if raw.get("observation") is not None:
-            sets, observation_arity = _accept_sets(raw["observation"])
+            sets, observation_lengths = _accept_sets(raw["observation"])
             observation = Observation(sets)
     except (FriError, OverflowError):  # OverflowError: an int beyond the float range
         _diagnose(raw_rules, len(rules), raw.get("observation"))
@@ -238,15 +207,9 @@ def load_document(data: bytes | str) -> RuleBaseDocument:
     elif not isinstance(metadata, dict):
         raise ValidationError("'metadata' must be an object")
 
-    return RuleBaseDocument(
-        version=version,
-        dimension=dimension,
-        rules=tuple(rules),
-        observation=observation,
-        metadata=metadata,
-        rule_arities=tuple(arities),
-        observation_arity=observation_arity,
-    )
+    doc = RuleBaseDocument(version, dimension, tuple(rules), observation, metadata)
+    object.__setattr__(doc, "_written", (tuple(rule_lengths), observation_lengths))
+    return doc
 
 
 def _emit_set(s: TrapezoidSet, arity: int) -> list[float]:
@@ -259,6 +222,8 @@ def _emit_set(s: TrapezoidSet, arity: int) -> list[float]:
 
 def save_document(doc: RuleBaseDocument) -> bytes:
     """Serialise a document; ``load_document(save_document(d)) == d``."""
+    rule_lengths, observation_lengths = doc._written or (
+        (((4,) * doc.dimension, 4),) * len(doc.rules), (4,) * doc.dimension)
     payload: dict[str, Any] = {
         "version": doc.version,
         "dimension": doc.dimension,
@@ -272,12 +237,12 @@ def save_document(doc: RuleBaseDocument) -> bytes:
             ],
             "consequent": _emit_set(rule.consequent, con_ar),
         }
-        for rule, (ant_ars, con_ar) in zip(doc.rules, doc.rule_arities)
+        for rule, (ant_ars, con_ar) in zip(doc.rules, rule_lengths)
     ]
     if doc.observation is not None:
         payload["observation"] = [
             _emit_set(s, ar)
-            for s, ar in zip(doc.observation.sets, doc.observation_arity)
+            for s, ar in zip(doc.observation.sets, observation_lengths)
         ]
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 

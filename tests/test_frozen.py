@@ -170,7 +170,7 @@ REPRS = {
         'rules=(Rule(antecedents=(TrapezoidSet(a1=0.0, a2=1.0, a3=2.0, a4=3.0),), '
         'consequent=TrapezoidSet(a1=0.0, a2=0.0, a3=0.0, a4=0.0)),), '
         'observation=Observation(sets=(TrapezoidSet(a1=3.0, a2=4.0, a3=4.0, a4=5.0),)), '
-        "metadata={'name': 'x'}, rule_arities=(((4,), 4),), observation_arity=(4,))"
+        "metadata={'name': 'x'})"
     ),
     "SegmentParams": (
         "SegmentParams(ka1=1.0, ka2=1.0, kb1=0.0, kb2=0.0, "

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -46,8 +48,10 @@ class TestLoad:
         assert doc.rules[0].consequent.is_singleton
         assert doc.observation.sets[0].points() == (4.0, 5.0, 5.0, 6.0)
         assert doc.metadata["name"] == "Example 1"
-        assert doc.rule_arities == (((3,), 3), ((3,), 3))
-        assert doc.observation_arity == (4,)
+        payload = json.loads(save_document(doc))
+        assert [rule["antecedents"] for rule in payload["rules"]] == [[[1, 2, 3]], [[7, 8, 9]]]
+        assert [rule["consequent"] for rule in payload["rules"]] == [[2, 2, 2], [8, 8, 8]]
+        assert payload["observation"] == [[4, 5, 5, 6]]
 
     def test_bytes_input(self):
         doc = load_document(EXAMPLE1_TEXT.encode("utf-8"))
@@ -145,20 +149,14 @@ class TestLoad:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"rule_arities": (((2,), 4),)},
-             "rules[0].antecedents[0]: arity must be 1, 3 or 4, got 2"),
-            ({"rule_arities": (((1,), 4),)},
-             "rules[0].antecedents[0]: arity 1 requires a singleton"),
-            ({"rule_arities": (((4,), 3),)}, "rules[0].consequent: arity 3 requires a triangle"),
             ({"rules": ()}, "document contains no rules"),
-            ({"rule_arities": (((4,), 4),) * 2}, "arity records do not match the rule count"),
-            ({"rule_arities": (((4, 4), 4),)}, "rules[0]: arity record length mismatch"),
-            ({"observation": Observation((TRAPEZOID,)), "observation_arity": (4, 4)},
-             "observation arity record length mismatch"),
-            ({"observation_arity": (4,)}, "observation arity recorded without an observation"),
+            # a bool or float dimension would save a file that load_document rejects
+            ({"dimension": True}, "dimension must be an integer, got True"),
+            ({"dimension": 1.0}, "dimension must be an integer, got 1.0"),
+            ({"dimension": "1"}, "dimension must be an integer, got '1'"),
+            ({"metadata": None}, "metadata must be a mapping, got None"),
         ],
-        ids=["unknown-arity", "arity-1-trapezoid", "arity-3-trapezoid", "no-rules",
-             "rule-count", "antecedent-count", "observation-count", "no-observation"],
+        ids=["no-rules", "bool-dimension", "float-dimension", "str-dimension", "null-metadata"],
     )
     def test_inconsistent_document_records_rejected(self, fields, message):
         document = {"version": FORMAT_VERSION, "dimension": 1,
@@ -172,7 +170,7 @@ class TestLoad:
             '"rules": [{"antecedents": [[2]], "consequent": [5]}]}'
         )
         assert doc.rules[0].antecedents[0].is_singleton
-        assert doc.rule_arities == (((1,), 1),)
+        assert json.loads(save_document(doc))["rules"] == [{"antecedents": [[2]], "consequent": [5]}]
 
 
 class TestRoundTrip:
@@ -192,8 +190,24 @@ class TestRoundTrip:
             "observation": [[4.25]],
         }, indent=2) + "\n"
         doc = load_document(text)
-        assert doc.rule_arities == (((1,), 1), ((1,), 1)) and doc.observation_arity == (1,)
         assert save_document(doc) == text.encode("utf-8")
+
+    def test_written_form_is_not_part_of_the_value(self):
+        # equal documents, as equal dicts can be written differently
+        texts = [json.dumps({
+            "version": "1",
+            "dimension": 1,
+            "rules": [{"antecedents": [antecedent], "consequent": [5.0]}],
+        }, indent=2) + "\n" for antecedent in ([1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0])]
+        triangle, trapezoid = map(load_document, texts)
+        assert triangle == trapezoid and repr(triangle) == repr(trapezoid)
+        assert [save_document(triangle), save_document(trapezoid)] == [t.encode() for t in texts]
+
+    @pytest.mark.parametrize("copy_of", [lambda d: pickle.loads(pickle.dumps(d)), copy.copy,
+                                         copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_copied_document_saves_as_written(self, copy_of):
+        data = (FIXTURES / "example_01.json").read_bytes()  # triangles and singletons
+        assert save_document(copy_of(load_document(data))) == data
 
     def test_triangle_arity_preserved_on_resave(self):
         doc = load_document(EXAMPLE1_TEXT)
@@ -250,10 +264,11 @@ class TestShippedFixtures:
         assert save_document(load_document(data)) == data
 
 
-def _reference_load(text: str) -> RuleBaseDocument:
+def _reference_load(text: str) -> tuple[RuleBaseDocument, tuple]:
     """The loader as it checked every number and then built each set, kept as
-    the reference for the one-test acceptance of ``load_document``. It takes
-    the JSON text only; the UTF-8 and JSON errors are not its concern."""
+    the reference for the one-test acceptance of ``load_document``: the
+    document and how many numbers each array was written with. It takes the
+    JSON text only; the UTF-8 and JSON errors are not its concern."""
 
     def as_number_list(value, where):
         if not isinstance(value, list) or not value:
@@ -331,8 +346,8 @@ def _reference_load(text: str) -> RuleBaseDocument:
             if not isinstance(value, str):
                 raise ValidationError(f"metadata[{key!r}]: expected a string")
             metadata[key] = value
-    return RuleBaseDocument(version, dimension, tuple(rules), observation, metadata,
-                            tuple(arities), observation_arity)
+    document = RuleBaseDocument(version, dimension, tuple(rules), observation, metadata)
+    return document, (tuple(arities), observation_arity)
 
 
 DOCS = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("example_*.json"))]
@@ -395,12 +410,16 @@ def mutated_documents(draw):
     return json.dumps(doc).replace(f'"{HUGE}"', "1e400")
 
 
+def _load_with_record(text):
+    doc = load_document(text)
+    return doc, doc._written
+
+
 def _load_outcome(load, text):
     try:
-        doc = load(text)
+        return load(text)
     except FriError as exc:
         return type(exc), str(exc)
-    return doc, doc.rule_arities, doc.observation_arity
 
 
 @settings(max_examples=500, deadline=None)
@@ -409,6 +428,6 @@ def _load_outcome(load, text):
 @example(json.dumps(DOCS[0]).replace("9.0", "1" + "0" * 400, 1))
 @example(json.dumps(DOCS[0]).replace("9.0", "1e400", 1))
 def test_loader_matches_reference(text):
-    """Every mutated document loads to the same document as the reference
-    loader, or fails with the same exception class and message."""
-    assert _load_outcome(load_document, text) == _load_outcome(_reference_load, text)
+    """Every mutated document loads to the same document and array lengths as
+    the reference loader, or fails with the same exception class and message."""
+    assert _load_outcome(_load_with_record, text) == _load_outcome(_reference_load, text)
