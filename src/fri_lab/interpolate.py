@@ -103,14 +103,18 @@ class RuleBase:
         ``shift`` is 0 unless the rule count times the largest consequent
         point ``j`` could pass the largest float; then it is the least power
         of two that keeps a weighted sum of those points, with weights at
-        most 1, finite. Rules keep their input order. Built on first use
-        rather than in the constructor, so rule bases that never weight every
-        rule do not pay for it; not a field, so equality, hashing and
-        ``repr`` ignore it.
+        most 1, finite. The rules are in chain order, or in the order of their
+        first dimension when the dimensions order them differently (each
+        dimension orders them totally), so the weighted sums, and with them
+        the points' bits, do not depend on the order the rules were given in.
+        Built on first use rather than in the constructor, so rule bases that
+        never weight every rule do not pay for it; not a field, so equality,
+        hashing and ``repr`` ignore it.
         """
-        rows = zip(*(zip(*(s.points() for s in rule.antecedents)) for rule in self.rules))
-        consequents = tuple(zip(*(rule.consequent.points() for rule in self.rules)))
-        n_bits = len(self.rules).bit_length()
+        rules = self._chain or sorted(self.rules, key=lambda rule: rule.antecedents[0].a1)
+        rows = zip(*(zip(*(s.points() for s in rule.antecedents)) for rule in rules))
+        consequents = tuple(zip(*(rule.consequent.points() for rule in rules)))
+        n_bits = len(rules).bit_length()
         shifts = [max(0, math.frexp(max(map(abs, c)))[1] + n_bits - 1024) for c in consequents]
         scaled = [tuple(math.ldexp(b, -shift) for b in c) for c, shift in zip(consequents, shifts)]
         return tuple(zip(rows, scaled, shifts))
@@ -171,9 +175,10 @@ class ConclusionPoints:
     y4: float
 
     def __post_init__(self) -> None:
-        for v in (self.y1, self.y2, self.y3, self.y4):
-            if not math.isfinite(v):
-                raise DomainError(f"conclusion point {v} is not finite")
+        y = (self.y1, self.y2, self.y3, self.y4)
+        if not all(map(math.isfinite, y)):
+            bad = next(v for v in y if not math.isfinite(v))
+            raise DomainError(f"conclusion point {bad} is not finite")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.y1, self.y2, self.y3, self.y4)
@@ -188,19 +193,21 @@ def _gaps(lower: Rule, upper: Rule, obs: Observation) -> tuple[list[tuple], list
     Raises :class:`DimensionError`, then :class:`OrderingViolation` at the
     first dimension out of order, the lower flank checked first.
     """
-    if lower.dimension != obs.dimension or upper.dimension != obs.dimension:
+    k = len(obs.sets)
+    if len(lower.antecedents) != k or len(upper.antecedents) != k:
         raise DimensionError(
             f"rule dimensions {lower.dimension}/{upper.dimension} do not match "
             f"observation dimension {obs.dimension}"
         )
     below, above = [], []
-    for d, (a, x, u) in enumerate(zip(lower.antecedents, obs.sets, upper.antecedents)):
-        below.append(tuple(map(operator.sub, x.points(), a.points())))
+    for d, (a, s, u) in enumerate(zip(lower.antecedents, obs.sets, upper.antecedents)):
+        x = s.points()
+        below.append(tuple(map(operator.sub, x, a.points())))
         if min(below[-1]) <= 0:
             raise OrderingViolation(
                 f"lower antecedent does not precede the observation in dimension {d}"
             )
-        above.append(tuple(map(operator.sub, u.points(), x.points())))
+        above.append(tuple(map(operator.sub, u.points(), x)))
         if min(above[-1]) <= 0:
             raise OrderingViolation(
                 f"observation does not precede the upper antecedent in dimension {d}"

@@ -125,7 +125,7 @@ def extract_segment_params(r1: Rule, r2: Rule, obs: Observation) -> dict[Segment
     This is the only function of the diagnostics that reads rule or
     observation points; every condition is a function of its result.
     """
-    if r1.dimension != 1 or r2.dimension != 1 or obs.dimension != 1:
+    if len(r1.antecedents) != 1 or len(r2.antecedents) != 1 or len(obs.sets) != 1:
         raise DimensionError("segment diagnostics are defined for one input dimension")
     a1 = r1.antecedents[0].points()
     a2 = r2.antecedents[0].points()

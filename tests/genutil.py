@@ -5,8 +5,9 @@ observation's support strictly between the antecedent supports (the
 sparse-rule-base scenario the diagnostics are stated for). Shapes are (left
 flank, core, right flank) length triples; a set is placed by its support
 start. The hypothesis strategy :func:`extreme_flanked_configs` produces
-flanked configurations of one to three dimensions at the float extremes. The
-module also holds a brute-force reference for flank selection, the
+flanked configurations of one to three dimensions at the float extremes, and
+:func:`rule_bases` chained rule bases in shuffled order, with an observation.
+The module also holds a brute-force reference for flank selection, the
 per-rule loop that KHstab's kernel replaced, and the exact 1-d α-profile.
 """
 from __future__ import annotations
@@ -144,6 +145,88 @@ def extreme_flanked_configs(draw):
     lows, observed, ups = zip(*(flanked_dimension() for _ in range(k)))
     b1, b2 = scaled([draw(st.tuples(*[exact] * 4)) for _ in range(2)])
     return Rule(lows, b1), Rule(ups, b2), Observation(observed)
+
+
+# Grids for rule_bases: float coordinates, and integer ones, which keep float
+# sums of gaps exact. A grid draws a chain's start, the step between neighbours,
+# the segment widths and where an observation sits within a gap.
+FLOAT_GRID = (
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=1e-3, max_value=50),
+    st.floats(min_value=0, max_value=50),
+    st.floats(min_value=0.01, max_value=0.99),
+)
+INT_GRID = (
+    st.integers(min_value=-20, max_value=20).map(float),
+    st.integers(min_value=1, max_value=4).map(float),
+    st.integers(min_value=0, max_value=4).map(float),
+    st.sampled_from((0.25, 0.5, 0.75)),
+)
+
+
+@st.composite
+def chain_column(draw, n, grid):
+    """``n`` antecedents in one dimension, each strictly left of the next."""
+    start, step, width, _ = grid
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(4):
+            floor = row[-1] + draw(width) if j else draw(start)
+            if i:
+                floor = max(floor, rows[-1][j] + draw(step))
+            row.append(floor)
+        rows.append(row)
+    return [TrapezoidSet(*row) for row in rows]
+
+
+def _placed(ranked, where, t):
+    """A set between ``ranked[where - 1]`` and ``ranked[where]``, past the ends
+    when ``where`` is 0 or ``len(ranked)``."""
+    if where == 0:
+        first = ranked[0]
+        return TrapezoidSet(*(p - (first.a4 - first.a1) - 1 for p in first.points()))
+    if where == len(ranked):
+        last = ranked[-1]
+        return TrapezoidSet(*(p + (last.a4 - last.a1) + 1 for p in last.points()))
+    lo, hi = ranked[where - 1].points(), ranked[where].points()
+    return TrapezoidSet(*((1 - t) * a + t * b for a, b in zip(lo, hi)))
+
+
+@st.composite
+def rule_bases(draw, k, grid, shared, max_rules=8):
+    """Rules in shuffled input order, with an observation.
+
+    With ``shared`` every dimension orders the rules alike; otherwise each
+    dimension after the first orders them by its own permutation, which is
+    never the identity. The observation sits at the same rank in every
+    dimension's order, or anywhere.
+    """
+    n = draw(st.integers(min_value=1 if shared else 2, max_value=max_rules))
+    columns = [draw(chain_column(n, grid)) for _ in range(k)]
+    if not shared:
+        for d in range(1, k):
+            if draw(st.booleans()):
+                perm = draw(st.permutations(range(n)))
+                if perm == list(range(n)):
+                    perm = perm[::-1]
+            else:  # one swap of neighbours leaves most observations flanked
+                perm = list(range(n))
+                swap = draw(st.integers(min_value=0, max_value=n - 2))
+                perm[swap], perm[swap + 1] = perm[swap + 1], perm[swap]
+            columns[d] = [columns[d][i] for i in perm]
+    rules = [
+        Rule(tuple(col[i] for col in columns), TrapezoidSet(i, i + 1, i + 2, i + 3))
+        for i in range(n)
+    ]
+    rules = [rules[i] for i in draw(st.permutations(range(n)))]
+    where = draw(st.sampled_from((0, n)) if draw(st.integers(min_value=0, max_value=3)) == 0
+                 else st.integers(min_value=1, max_value=max(1, n - 1)))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        sets = [TrapezoidSet(*sorted(draw(grid[0]) for _ in range(4))) for _ in columns]
+    else:
+        sets = [_placed(sorted(col, key=lambda s: s.a1), where, draw(grid[3])) for col in columns]
+    return rules, Observation(tuple(sets))
 
 
 def reference_flanks(rules: Sequence[Rule], obs: Observation) -> tuple[set[int], set[int]]:

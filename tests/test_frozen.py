@@ -1,4 +1,8 @@
-"""The frozen value classes: reprs, equality, hashing, immutability and construction."""
+"""The frozen value classes: reprs, equality, hashing, immutability, construction,
+and copies, pickles and weak references of the slotted instances."""
+import copy
+import pickle
+import weakref
 from enum import Enum
 
 import pytest
@@ -238,7 +242,7 @@ def test_hash_is_over_the_compared_fields():
 @pytest.mark.parametrize("name", sorted(REPRS))
 def test_assignment_and_deletion_raise(name):
     value = examples()[name]
-    field_name = next(iter(vars(value)))
+    field_name = next(iter(type(value).__annotations__))
     before = getattr(value, field_name)
     for attribute in (field_name, "x"):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{attribute}'"):
@@ -246,6 +250,47 @@ def test_assignment_and_deletion_raise(name):
         with pytest.raises(AttributeError, match=f"cannot delete field '{attribute}'"):
             delattr(value, attribute)
     assert getattr(value, field_name) is before
+
+
+COPIES = {"pickle": lambda value: pickle.loads(pickle.dumps(value)),
+          "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_copies_are_equal(name, how):
+    value = examples()[name]
+    copied = COPIES[how](value)
+    assert type(copied) is type(value)
+    if name == "AlphaProfile":  # comparing arrays has no single truth value
+        for field in ("levels", "infs", "sups"):
+            assert (getattr(copied, field) == getattr(value, field)).all()
+            assert not getattr(copied, field).flags.writeable
+    else:
+        assert copied == value and repr(copied) == repr(value)
+
+
+def test_instances_take_weak_references():
+    value = TrapezoidSet(0.0, 1.0, 2.0, 3.0)
+    ref = weakref.ref(value)
+    assert ref() is value
+
+
+def test_fields_live_in_slots_not_in_the_instance_dict():
+    value = TrapezoidSet(0.0, 1.0, 2.0, 3.0)
+    assert "a1" not in vars(value)
+    assert type(value).__slots__ == ("a1", "a2", "a3", "a4", "__dict__", "__weakref__")
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_rule_base_keeps_its_cached_views_when_copied(how):
+    base = RuleBase((UPPER, LOWER))
+    assert base._point_rows and base._chain_columns  # built and cached
+    copied = COPIES[how](base)
+    for name in ("dimension", "_chain", "_point_rows", "_chain_columns"):
+        assert name in vars(copied) and getattr(copied, name) == getattr(base, name)
+    # the copied chain holds the copy's own rules, not further copies of them
+    assert copied._chain[0] is copied.rules[1] and copied._chain[1] is copied.rules[0]
 
 
 def test_keyword_construction():

@@ -32,12 +32,15 @@ from fri_lab.errors import DomainError, FriError, NotFlanked
 from fri_lab.profile import _float_profile, _sweep_in_floats
 
 from genutil import (
+    FLOAT_GRID,
+    INT_GRID,
     exact_profile,
     extreme_flanked_configs,
     random_flanked_config,
     random_uniform_config,
     reference_flanks,
     reference_khstab,
+    rule_bases,
 )
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -132,90 +135,10 @@ def test_interpolated_point_stays_between_consequent_points(seed):
         assert min(lo, hi) - 1e-9 <= y <= max(lo, hi) + 1e-9
 
 
-# Selection against the brute-force reference. Float coordinates exercise
-# the binary search on chains whose dimensions share one order; integer
-# coordinates keep the scan path's float gap sums exact, so that its ties
-# are true ties. A grid draws a chain's start, the step between neighbours,
-# the segment widths and where an observation sits within a gap.
-FLOAT_GRID = (
-    st.floats(min_value=-1e3, max_value=1e3),
-    st.floats(min_value=1e-3, max_value=50),
-    st.floats(min_value=0, max_value=50),
-    st.floats(min_value=0.01, max_value=0.99),
-)
-INT_GRID = (
-    st.integers(min_value=-20, max_value=20).map(float),
-    st.integers(min_value=1, max_value=4).map(float),
-    st.integers(min_value=0, max_value=4).map(float),
-    st.sampled_from((0.25, 0.5, 0.75)),
-)
-
-
-@st.composite
-def chain_column(draw, n, grid):
-    """``n`` antecedents in one dimension, each strictly left of the next."""
-    start, step, width, _ = grid
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(4):
-            floor = row[-1] + draw(width) if j else draw(start)
-            if i:
-                floor = max(floor, rows[-1][j] + draw(step))
-            row.append(floor)
-        rows.append(row)
-    return [TrapezoidSet(*row) for row in rows]
-
-
-def _placed(ranked, where, t):
-    """A set between ``ranked[where - 1]`` and ``ranked[where]``, past the ends
-    when ``where`` is 0 or ``len(ranked)``."""
-    if where == 0:
-        first = ranked[0]
-        return TrapezoidSet(*(p - (first.a4 - first.a1) - 1 for p in first.points()))
-    if where == len(ranked):
-        last = ranked[-1]
-        return TrapezoidSet(*(p + (last.a4 - last.a1) + 1 for p in last.points()))
-    lo, hi = ranked[where - 1].points(), ranked[where].points()
-    return TrapezoidSet(*((1 - t) * a + t * b for a, b in zip(lo, hi)))
-
-
-@st.composite
-def rule_bases(draw, k, grid, shared, max_rules=8):
-    """Rules in shuffled input order, with an observation.
-
-    With ``shared`` every dimension orders the rules alike; otherwise each
-    dimension after the first orders them by its own permutation, which is
-    never the identity. The observation sits at the same rank in every
-    dimension's order, or anywhere.
-    """
-    n = draw(st.integers(min_value=1 if shared else 2, max_value=max_rules))
-    columns = [draw(chain_column(n, grid)) for _ in range(k)]
-    if not shared:
-        for d in range(1, k):
-            if draw(st.booleans()):
-                perm = draw(st.permutations(range(n)))
-                if perm == list(range(n)):
-                    perm = perm[::-1]
-            else:  # one swap of neighbours leaves most observations flanked
-                perm = list(range(n))
-                swap = draw(st.integers(min_value=0, max_value=n - 2))
-                perm[swap], perm[swap + 1] = perm[swap + 1], perm[swap]
-            columns[d] = [columns[d][i] for i in perm]
-    rules = [
-        Rule(tuple(col[i] for col in columns), TrapezoidSet(i, i + 1, i + 2, i + 3))
-        for i in range(n)
-    ]
-    rules = [rules[i] for i in draw(st.permutations(range(n)))]
-    where = draw(st.sampled_from((0, n)) if draw(st.integers(min_value=0, max_value=3)) == 0
-                 else st.integers(min_value=1, max_value=max(1, n - 1)))
-    if draw(st.integers(min_value=0, max_value=3)) == 0:
-        sets = [TrapezoidSet(*sorted(draw(grid[0]) for _ in range(4))) for _ in columns]
-    else:
-        sets = [_placed(sorted(col, key=lambda s: s.a1), where, draw(grid[3])) for col in columns]
-    return rules, Observation(tuple(sets))
-
-
+# Selection against the brute-force reference, on the rule bases of
+# genutil.rule_bases: float grids exercise the binary search on chains whose
+# dimensions share one order; integer grids keep the scan path's float gap
+# sums exact, so that its ties are true ties.
 def check_selection_against_reference(rules, obs):
     lower_ok, upper_ok = reference_flanks(rules, obs)
     rb = RuleBase(rules)
