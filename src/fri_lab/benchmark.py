@@ -1,14 +1,17 @@
 """Golden benchmark: nine fixed interpolation cases with published expectations.
 
 Cases 1-5 produce normal conclusions, cases 6-9 provoke an inversion on at
-least one segment. Expected conclusion points, length/ratio diagnostics and
-verdicts are frozen from the published tables; two inputs (cases 5 and 9)
-are reconstructed because the printed rows are internally inconsistent, and
-each case records its provenance.
+least one segment. Each case's rules and observation are read, with
+``load_document``, from its document ``fixtures/example_0N.json`` shipped in
+this package; the document's ``notes`` metadata is the case's provenance.
+Expected conclusion points, length/ratio diagnostics and verdicts are frozen
+here from the published tables. Two inputs (cases 5 and 9) are reconstructed
+because the printed rows are internally inconsistent, and their notes say so.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from pathlib import Path
+from typing import Mapping
 
 from ._frozen import frozen
 from .interpolate import (
@@ -20,7 +23,9 @@ from .interpolate import (
     khstab_points,
 )
 from .normality import CaseTag, ConditionPath, NormalityReport, Segment, Verdict, full_report
-from .sets import TrapezoidSet
+from .rulebase_io import load_document
+
+_FIXTURES = Path(__file__).with_name("fixtures")
 
 #: Tolerance against published values, which are rounded to 2-3 decimals.
 PRINTED_TOL = 0.011
@@ -137,15 +142,12 @@ class ReferenceComparison:
     passed: bool | None
 
 
-def _rule(antecedent: Iterable[float], consequent: Iterable[float]) -> Rule:
-    return Rule(
-        (TrapezoidSet.from_points(tuple(antecedent)),),
-        TrapezoidSet.from_points(tuple(consequent)),
-    )
-
-
-def _obs(values: Iterable[float]) -> Observation:
-    return Observation((TrapezoidSet.from_points(tuple(values)),))
+def _inputs(case_id: int) -> dict:
+    """A case's rules, observation and provenance note, read from its document."""
+    doc = load_document((_FIXTURES / f"example_{case_id:02d}.json").read_bytes())
+    lower, upper = doc.rules
+    return {"rule_lower": lower, "rule_upper": upper, "observation": doc.observation,
+            "provenance_note": doc.metadata["notes"]}
 
 
 _GEN = ConditionPath.GENERAL
@@ -153,8 +155,6 @@ _UNZ = ConditionPath.UNIFORM_NONZERO
 _UZE = ConditionPath.UNIFORM_ZERO
 _N = Verdict.NORMAL
 _P = Verdict.PROBLEM
-
-_PRINTED_NOTE = "all set values and expectations as printed in the source tables"
 
 
 def _segments(
@@ -169,9 +169,7 @@ def builtin_cases() -> tuple[BenchmarkCase, ...]:
         BenchmarkCase(
             case_id=1,
             name="observation at least as long as the antecedents",
-            rule_lower=_rule((1, 2, 3), (2, 2, 2)),
-            rule_upper=_rule((7, 8, 9), (8, 8, 8)),
-            observation=_obs((4, 5, 5, 6)),
+            **_inputs(1),
             expected_points=(5.0, 5.0, 5.0, 5.0),
             exact_points=(5.0, 5.0, 5.0, 5.0),
             expected_segments=_segments(
@@ -182,14 +180,11 @@ def builtin_cases() -> tuple[BenchmarkCase, ...]:
             expected_overall=_N,
             expected_tags=frozenset({CaseTag.CASE1}),
             reference_rows=(),
-            provenance_note=_PRINTED_NOTE,
         ),
         BenchmarkCase(
             case_id=2,
             name="identical triangular antecedent and consequent shapes",
-            rule_lower=_rule((1, 2.5, 2.5, 4), (1, 2.5, 2.5, 4)),
-            rule_upper=_rule((6, 7.5, 7.5, 9), (6, 7.5, 7.5, 9)),
-            observation=_obs((4.5, 5, 5.5)),
+            **_inputs(2),
             expected_points=(4.5, 5.0, 5.0, 5.5),
             exact_points=(4.5, 5.0, 5.0, 5.5),
             expected_segments=_segments(
@@ -200,14 +195,11 @@ def builtin_cases() -> tuple[BenchmarkCase, ...]:
             expected_overall=_N,
             expected_tags=frozenset({CaseTag.CASE2}),
             reference_rows=(),
-            provenance_note=_PRINTED_NOTE,
         ),
         BenchmarkCase(
             case_id=3,
             name="identical trapezoidal antecedent and consequent shapes",
-            rule_lower=_rule((1, 2, 3, 4), (1, 2, 3, 4)),
-            rule_upper=_rule((6, 7, 8, 9), (6, 7, 8, 9)),
-            observation=_obs((4, 4.8, 5.2, 6)),
+            **_inputs(3),
             expected_points=(4.0, 4.8, 5.2, 6.0),
             exact_points=(4.0, 4.8, 5.2, 6.0),
             expected_segments=_segments(
@@ -218,14 +210,11 @@ def builtin_cases() -> tuple[BenchmarkCase, ...]:
             expected_overall=_N,
             expected_tags=frozenset({CaseTag.CASE2, CaseTag.COROLLARY4}),
             reference_rows=(),
-            provenance_note=_PRINTED_NOTE,
         ),
         BenchmarkCase(
             case_id=4,
             name="wider consequents, singleton observation",
-            rule_lower=_rule((1.5, 2, 2, 2.5), (1, 2, 3, 4)),
-            rule_upper=_rule((6.5, 7, 7, 7.5), (6, 7, 8, 9)),
-            observation=_obs((4.5, 4.5, 4.5, 4.5)),
+            **_inputs(4),
             expected_points=(4.0, 4.5, 5.5, 6.0),
             exact_points=(4.0, 4.5, 5.5, 6.0),
             expected_segments=_segments(
@@ -236,14 +225,11 @@ def builtin_cases() -> tuple[BenchmarkCase, ...]:
             expected_overall=_N,
             expected_tags=frozenset({CaseTag.CASE3}),
             reference_rows=(),
-            provenance_note=_PRINTED_NOTE,
         ),
         BenchmarkCase(
             case_id=5,
             name="singleton antecedents, wider consequents",
-            rule_lower=_rule((2, 2, 2), (1, 2, 3, 4)),
-            rule_upper=_rule((8, 8, 8), (6, 7, 8, 9)),
-            observation=_obs((4.5, 5, 5, 5.5)),
+            **_inputs(5),
             expected_points=(3.08, 4.5, 5.5, 6.916),
             exact_points=(18.5 / 6.0, 4.5, 5.5, 41.5 / 6.0),
             expected_segments=_segments(
@@ -254,19 +240,11 @@ def builtin_cases() -> tuple[BenchmarkCase, ...]:
             expected_overall=_N,
             expected_tags=frozenset({CaseTag.CASE1, CaseTag.CASE3}),
             reference_rows=(),
-            provenance_note=(
-                "observation right support reconstructed: the printed "
-                "(4.5, 5, 5, 5) cannot yield the printed conclusion point "
-                "6.916; the value 5.5 reproduces it exactly together with "
-                "every printed diagnostic (-2, 6.5, 0, 6, -2, 6.5)"
-            ),
         ),
         BenchmarkCase(
             case_id=6,
             name="core-length inversion",
-            rule_lower=_rule((1, 2, 3, 4), (1.5, 2.5, 2.5, 3.8)),
-            rule_upper=_rule((6, 7, 8, 9), (6.5, 7.5, 7.5, 9)),
-            observation=_obs((4.2, 5.2, 5.2, 6.7)),
+            **_inputs(6),
             expected_points=(4.7, 5.7, 4.7, 6.6),
             exact_points=(4.7, 5.7, 4.7, 6.608),
             expected_segments=_segments(
@@ -283,14 +261,11 @@ def builtin_cases() -> tuple[BenchmarkCase, ...]:
                 ReferenceRow("VKK", "Normal", (4.6, 5.2, 5.2, 6.66)),
                 ReferenceRow("CRF", "Normal", (3.9, 5.25, 5.25, 6.75)),
             ),
-            provenance_note=_PRINTED_NOTE,
         ),
         BenchmarkCase(
             case_id=7,
             name="left-boundary inversion",
-            rule_lower=_rule((1, 2.5, 2.5, 4), (1, 2, 3, 4.5)),
-            rule_upper=_rule((5.5, 7.5, 7.5, 9), (6.5, 7, 8, 9.5)),
-            observation=_obs((4.5, 4.9, 5.1, 5.5)),
+            **_inputs(7),
             expected_points=(5.27, 4.4, 5.6, 6.0),
             exact_points=(23.75 / 4.5, 4.4, 5.6, 6.0),
             expected_segments=_segments(
@@ -307,14 +282,11 @@ def builtin_cases() -> tuple[BenchmarkCase, ...]:
                 ReferenceRow("VKK", "Abnormality", None, note="out range"),
                 ReferenceRow("CRF", "Normal", (4.5, 4.9, 5.0, 5.1)),
             ),
-            provenance_note=_PRINTED_NOTE,
         ),
         BenchmarkCase(
             case_id=8,
             name="right-boundary inversion",
-            rule_lower=_rule((1.5, 2.5, 2.5, 4.3), (1, 2, 3, 3.5)),
-            rule_upper=_rule((6.5, 7.5, 7.5, 8.8), (6, 7, 8, 8.9)),
-            observation=_obs((4.5, 4.9, 5.1, 5.5)),
+            **_inputs(8),
             expected_points=(4.0, 4.4, 5.6, 4.94),
             exact_points=(4.0, 4.4, 5.6, 4.94),
             expected_segments=_segments(
@@ -325,14 +297,11 @@ def builtin_cases() -> tuple[BenchmarkCase, ...]:
             expected_overall=_P,
             expected_tags=frozenset(),
             reference_rows=(),
-            provenance_note=_PRINTED_NOTE,
         ),
         BenchmarkCase(
             case_id=9,
             name="inversion on every segment",
-            rule_lower=_rule((2, 2, 2.5, 3), (2, 2, 2, 2)),
-            rule_upper=_rule((6, 7.5, 8, 8), (8, 8, 8, 8)),
-            observation=_obs((5, 5, 5, 5)),
+            **_inputs(9),
             expected_points=(6.5, 5.27, 4.72, 4.4),
             exact_points=(6.5, 29.0 / 5.5, 26.0 / 5.5, 4.4),
             expected_segments=_segments(
@@ -348,12 +317,6 @@ def builtin_cases() -> tuple[BenchmarkCase, ...]:
                 ReferenceRow("MACI", "Normal", (5.0, 5.0, 5.0)),
                 ReferenceRow("VKK", "Abnormality", (5.3, 5.5, 5.3)),
                 ReferenceRow("CRF", "Normal", (5.0, 5.0, 5.0)),
-            ),
-            provenance_note=(
-                "antecedents reconstructed: the printed rows are garbled; "
-                "(2, 2, 2.5, 3) and (6, 7.5, 8, 8) reproduce all four "
-                "printed conclusion points and all six printed diagnostics "
-                "(27, 0, 3, 0, 9, 0)"
             ),
         ),
     )

@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DimensionError, FriError, ValidationError
+from .errors import DimensionError, DomainError, FriError, ValidationError
 from .interpolate import (
     assemble_conclusion,
     kh_characteristic_points,
@@ -165,12 +165,20 @@ def _flanked_document(path: str, one_dimension_only: str | None = None):
 
 def cmd_interpolate(args: argparse.Namespace) -> int:
     _, rulebase, observation, lower, upper = _flanked_document(args.file)
+    # KHstab over more than two rules weights them all: KH's length report and
+    # the sweep follow the two flanks, so its own points are judged directly
+    own_points = args.method == "khstab" and len(rulebase) > 2
+    if own_points and args.sweep is not None:
+        raise DomainError(
+            f"--sweep follows the two flanking rules, not KHstab over {len(rulebase)} rules"
+        )
     # everything that can fail runs before the first line is printed
     if args.method == "khstab":
         points = khstab_points(rulebase, observation)
     else:
         points = kh_characteristic_points(lower, upper, observation)
-    report = full_report(lower, upper, observation) if rulebase.dimension == 1 else None
+    report = (full_report(lower, upper, observation)
+              if rulebase.dimension == 1 and not own_points else None)
     oracle = _sweep(args.sweep, lower, upper, observation)
     print(f"method: {args.method}")
     print(f"conclusion points: {_fmt_points(points.as_tuple(), args.decimals)}")

@@ -207,6 +207,10 @@ def classify_case(params: Mapping[Segment, SegmentParams]) -> frozenset[CaseTag]
     lengths that are equal (CASE2) or consequent-dominant (CASE3) on every
     segment. COROLLARY4: both the antecedent pair and the consequent pair
     share a nonzero core length. An empty set means no hypothesis holds.
+
+    A tag is not a normality guarantee: a configuration tagged CASE3 or
+    COROLLARY4 can still have an inverted segment, which ``full_report``'s
+    verdicts show.
     """
     tags = set()
     segments = params.values()

@@ -96,6 +96,20 @@ TWO_DIMENSIONAL_DOC = {
 }
 
 
+# KH's flanks give (5, 6, 7, 8), NORMAL; KHstab's weight on the far rule
+# inverts every segment of its own points
+KHSTAB_WITNESS_DOC = {
+    "version": "1",
+    "dimension": 1,
+    "rules": [
+        {"antecedents": [[0, 1, 2, 3]], "consequent": [0, 1, 2, 3]},
+        {"antecedents": [[10, 11, 12, 13]], "consequent": [10, 11, 12, 13]},
+        {"antecedents": [[20, 20, 20, 20]], "consequent": [-100, -100, -100, -100]},
+    ],
+    "observation": [[5, 6, 7, 8]],
+}
+
+
 class TestBench:
     def test_full_run_passes(self, capsys):
         assert main(["bench"]) == 0
@@ -376,9 +390,37 @@ class TestInterpolate:
             captured = capsys.readouterr()
             assert code == 0, captured.err
             assert captured.err == ""
-            outputs[method] = captured.out.split("\n", 1)
-        assert outputs["khstab"][1] == outputs["kh"][1]
-        assert "conclusion points: (1e+308, 1.1e+308, 1.2e+308, 1.3e+308)" in outputs["kh"][1]
+            outputs[method] = captured.out.splitlines()
+        points = "conclusion points: (1e+308, 1.1e+308, 1.2e+308, 1.3e+308)"
+        assert outputs["khstab"][1] == outputs["kh"][1] == points
+        # over three rules KHstab's own points are judged, not KH's two flanks
+        assert outputs["khstab"][3:] == [f"{seg}: NORMAL (direct)" for seg in ("LTB", "CORE", "RTB")]
+
+    def test_khstab_over_three_rules_judges_its_own_points(self, tmp_path, capsys):
+        path = tmp_path / "khstab_witness.json"
+        path.write_text(json.dumps(KHSTAB_WITNESS_DOC))
+        assert main(["interpolate", str(path), "--method", "khstab"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "method: khstab",
+            "conclusion points: (-10, -10.0606, -10.2581, -10.6207)",
+            "conclusion: ABNORMAL, graded points (-10, 0) (-10.0606, 1) (-10.2581, 1) "
+            "(-10.6207, 0)",
+            "LTB: PROBLEM (direct)",
+            "CORE: PROBLEM (direct)",
+            "RTB: PROBLEM (direct)",
+        ]
+
+    def test_khstab_over_three_rules_refuses_the_sweep(self, tmp_path, capsys):
+        path = tmp_path / "khstab_witness.json"
+        path.write_text(json.dumps(KHSTAB_WITNESS_DOC))
+        assert main(["interpolate", str(path), "--method", "khstab", "--sweep", "11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --sweep follows the two flanking rules, not KHstab over 3 rules\n"
+        )
 
 
 @pytest.mark.parametrize("levels", [1, 0, -3])

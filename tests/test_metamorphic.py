@@ -9,6 +9,11 @@ Each relation transforms a valid input and states what the outputs must do:
   swapping the two rules negates and reverses the KH points bit for bit; LTB
   and RTB trade their length verdicts, paths and direct verdicts, and the
   tags, the overall verdict and the 101-level sweep's ``abnormal`` stay.
+- Dimension order: permuting the input dimensions of the rules and the
+  observation leaves the KH points bit-identical, since ``math.hypot`` takes
+  each distance in one call, and the 101-level sweep's ``abnormal`` equal.
+  KHstab's points stay bit-identical when every dimension orders the rules
+  alike, so that the rules are weighted in one chain order.
 """
 import random
 
@@ -97,3 +102,48 @@ def test_mirror_negates_points_and_trades_boundaries(generate):
         assert image.overall is report.overall
         sweep = sweep_oracle(lower, upper, obs, 101)
         assert sweep_oracle(*mirrored, 101).abnormal == sweep.abnormal
+
+
+def permute_dimensions(rule: Rule, order) -> Rule:
+    return Rule(tuple(rule.antecedents[d] for d in order), rule.consequent)
+
+
+def kd_config(rng, k):
+    """k flanked dimensions, each one draw of random_flanked_config; the
+    consequents are those of the first draw."""
+    draws = [random_flanked_config(rng) for _ in range(k)]
+    lower = Rule(tuple(lo.antecedents[0] for lo, _, _ in draws), draws[0][0].consequent)
+    upper = Rule(tuple(up.antecedents[0] for _, up, _ in draws), draws[0][1].consequent)
+    return lower, upper, Observation(tuple(obs.sets[0] for _, _, obs in draws))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_dimension_order_leaves_kh_bits_and_the_sweep(k):
+    rng = random.Random(11)
+    for _ in range(DRAWS):
+        lower, upper, obs = kd_config(rng, k)
+        order = rng.sample(range(k), k)
+        permuted = (permute_dimensions(lower, order), permute_dimensions(upper, order),
+                    Observation(tuple(obs.sets[d] for d in order)))
+        assert bits(kh_characteristic_points(*permuted).as_tuple()) == bits(
+            kh_characteristic_points(lower, upper, obs).as_tuple()
+        )
+        assert sweep_oracle(*permuted, 101).abnormal == sweep_oracle(lower, upper, obs, 101).abnormal
+
+
+@st.composite
+def dimension_permuted_chains(draw):
+    """A rule base of two or three dimensions that order the rules alike, an
+    observation, and an order of the dimensions."""
+    k = draw(st.integers(min_value=2, max_value=3))
+    rules, obs = draw(rule_bases(k, FLOAT_GRID, True, max_rules=8))
+    return rules, obs, draw(st.permutations(range(k)))
+
+
+@settings(max_examples=300)
+@given(dimension_permuted_chains())
+def test_dimension_order_leaves_khstab_bits_on_shared_chains(case):
+    rules, obs, order = case
+    permuted = RuleBase(tuple(permute_dimensions(rule, order) for rule in rules))
+    assert bits(khstab_points(permuted, Observation(tuple(obs.sets[d] for d in order)))
+                .as_tuple()) == bits(khstab_points(RuleBase(rules), obs).as_tuple())

@@ -169,6 +169,43 @@ class TestClassifyCase:
     def test_case3(self):
         assert classify_case(extract_segment_params(*triple(4))) == frozenset({CaseTag.CASE3})
 
+    # A tag is no normality guarantee. Draws 0 and 138 of
+    # random_uniform_config(random.Random(13)), as antecedent, consequent of
+    # the lower rule, of the upper rule, and the observation: each is tagged,
+    # and one segment of its conclusion is inverted.
+    @pytest.mark.parametrize("sets, tags, inverted", [
+        (
+            ((-3.528400818315822, -3.010383834884875, -1.6398678489558012, -0.2717040129235797),
+             (-2.0534324623663744, -0.3547601395865141, 0.01668820816095673, 0.4778054260918929),
+             (3.9146566155743843, 4.432673599005332, 5.8031895849344055, 7.171353420966627),
+             (2.6641280516333454, 4.362800374413206, 4.734248722160677, 5.195365940091613),
+             (0.4425266469846527, 1.9105738514101986, 2.1709998969297124, 3.233629400623749)),
+            {CaseTag.COROLLARY4},
+            Segment.CORE,
+        ),
+        (
+            ((1.6276111981914596, 2.0712493485618033, 3.0021109818566636, 4.084054387474374),
+             (-4.981672928517122, -3.9661488188953498, -2.8354243010925253, -1.7058759324606043),
+             (7.7893740131667135, 8.233012163537058, 9.163873796831918, 10.24581720244963),
+             (2.026228410349588, 3.0417525199713604, 4.172477037774184, 5.302025406406106),
+             (4.271559042381087, 5.867122781012475, 5.9492146791610185, 5.976355309605731)),
+            {CaseTag.CASE3, CaseTag.COROLLARY4},
+            Segment.RTB,
+        ),
+    ], ids=["corollary4-core", "case3-rtb"])
+    def test_tagged_configuration_can_be_abnormal(self, sets, tags, inverted):
+        a1, b1, a2, b2, x = (TrapezoidSet(*s) for s in sets)
+        report = full_report(Rule((a1,), b1), Rule((a2,), b2), Observation((x,)))
+        assert report.tags == frozenset(tags)
+        y = report.points.as_tuple()
+        j = list(Segment).index(inverted)
+        assert y[j] > y[j + 1]
+        for seg in Segment:
+            expected = Verdict.PROBLEM if seg is inverted else Verdict.NORMAL
+            assert report.lengths[seg].verdict is expected
+            assert report.direct[seg] is expected
+        assert report.overall is Verdict.PROBLEM
+
 
 class TestDirectNormality:
     def test_left_boundary_inversion(self):
