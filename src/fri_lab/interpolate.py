@@ -85,9 +85,11 @@ class RuleBase:
                 )
         # the rules fix it, so it is not a field: equality, hashing and repr ignore it
         object.__setattr__(self, "dimension", k)
-        # the rules in chain order when every dimension orders them alike,
-        # else None; not a field, so equality, hashing and repr ignore it
-        object.__setattr__(self, "_chain", _chain_order(self.rules))
+        # the rules ranked by _chain_order, and _chain the ranking if it is a
+        # chain, else None; not fields, so equality, hashing and repr ignore them
+        ranked, is_chain = _chain_order(self.rules)
+        object.__setattr__(self, "_ranked", ranked)
+        object.__setattr__(self, "_chain", ranked if is_chain else None)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -103,18 +105,15 @@ class RuleBase:
         ``shift`` is 0 unless the rule count times the largest consequent
         point ``j`` could pass the largest float; then it is the least power
         of two that keeps a weighted sum of those points, with weights at
-        most 1, finite. The rules are in chain order, or in the order of their
-        first dimension when the dimensions order them differently (each
-        dimension orders them totally), so the weighted sums, and with them
-        the points' bits, do not depend on the order the rules were given in.
+        most 1, finite. The rules are ranked by :func:`_chain_order`, so the
+        points' bits do not depend on the order the rules were given in.
         Built on first use rather than in the constructor, so rule bases that
         never weight every rule do not pay for it; not a field, so equality,
         hashing and ``repr`` ignore it.
         """
-        rules = self._chain or sorted(self.rules, key=lambda rule: rule.antecedents[0].a1)
-        rows = zip(*(zip(*(s.points() for s in rule.antecedents)) for rule in rules))
-        consequents = tuple(zip(*(rule.consequent.points() for rule in rules)))
-        n_bits = len(rules).bit_length()
+        rows = zip(*(zip(*(s.points() for s in rule.antecedents)) for rule in self._ranked))
+        consequents = tuple(zip(*(rule.consequent.points() for rule in self._ranked)))
+        n_bits = len(self.rules).bit_length()
         shifts = [max(0, math.frexp(max(map(abs, c)))[1] + n_bits - 1024) for c in consequents]
         scaled = [tuple(math.ldexp(b, -shift) for b in c) for c, shift in zip(consequents, shifts)]
         return tuple(zip(rows, scaled, shifts))
@@ -138,8 +137,8 @@ def _rule_precedes(a: Rule, b: Rule) -> bool:
     return all(map(precedes, a.antecedents, b.antecedents))
 
 
-def _chain_order(rules: tuple[Rule, ...]) -> tuple[Rule, ...] | None:
-    """The rules in chain order when every dimension orders them alike, else None.
+def _chain_order(rules: tuple[Rule, ...]) -> tuple[tuple[Rule, ...], bool]:
+    """The rules in chain order, else in dimension 0's order, and whether chained.
 
     Each dimension is checked by sorting on the antecedent support start and
     testing precedence between neighbours only. Precedence is a strict
@@ -149,10 +148,10 @@ def _chain_order(rules: tuple[Rule, ...]) -> tuple[Rule, ...] | None:
     by input index. Rules given in chain order are returned unsorted.
     """
     if all(map(_rule_precedes, rules, rules[1:])):
-        return rules
-    ranked = sorted(rules, key=lambda rule: rule.antecedents[0].a1)
+        return rules, True
+    ranked = tuple(sorted(rules, key=lambda rule: rule.antecedents[0].a1))
     if all(map(_rule_precedes, ranked, ranked[1:])):
-        return tuple(ranked)
+        return ranked, True
     for d in range(rules[0].dimension):
         column = [rule.antecedents[d] for rule in rules]
         order = sorted(range(len(rules)), key=lambda i: column[i].a1)
@@ -162,7 +161,7 @@ def _chain_order(rules: tuple[Rule, ...]) -> tuple[Rule, ...] | None:
                     f"antecedents of rules {min(i, j)} and {max(i, j)} are not "
                     f"comparable in dimension {d}"
                 )
-    return None
+    return ranked, False
 
 
 @frozen
@@ -236,10 +235,11 @@ def select_flanking(rb: RuleBase, obs: Observation) -> tuple[Rule, Rule]:
     characteristic point, strictly increasing along the chain) is bisected
     at the observation's point: the rules below it in every column end at
     the least ``bisect_left``, and the rules above it in every column start
-    at the greatest ``bisect_right``. Otherwise every rule is scanned and the
-    candidate with the smallest summed support gap toward the observation
-    wins. Raises :class:`NotFlanked` when either side is empty, since
-    extrapolation is not supported.
+    at the greatest ``bisect_right``. Otherwise the rules are scanned in
+    dimension 0's order, and the candidate with the smallest summed support
+    gap toward the observation wins, the first in that order on a tie, so
+    input order never decides. Raises :class:`NotFlanked` when either side
+    is empty, since extrapolation is not supported.
     """
     _require_dimension(rb, obs)
     if rb._chain is not None:
@@ -252,22 +252,18 @@ def select_flanking(rb: RuleBase, obs: Observation) -> tuple[Rule, Rule]:
         if upper_start == len(rb._chain):
             raise NotFlanked(_NO_UPPER)
         return (rb._chain[lower_end - 1], rb._chain[upper_start])
-    lower_best: tuple[float, int] | None = None
-    upper_best: tuple[float, int] | None = None
-    for idx, rule in enumerate(rb.rules):
-        if all(precedes(rule.antecedents[d], obs.sets[d]) for d in range(rb.dimension)):
-            gap = sum(obs.sets[d].a1 - rule.antecedents[d].a4 for d in range(rb.dimension))
-            if lower_best is None or gap < lower_best[0]:
-                lower_best = (gap, idx)
-        elif all(precedes(obs.sets[d], rule.antecedents[d]) for d in range(rb.dimension)):
-            gap = sum(rule.antecedents[d].a1 - obs.sets[d].a4 for d in range(rb.dimension))
-            if upper_best is None or gap < upper_best[0]:
-                upper_best = (gap, idx)
-    if lower_best is None:
+    ranked, sets = rb._ranked, obs.sets
+    lower = min((rule for rule in ranked if all(map(precedes, rule.antecedents, sets))),
+                key=lambda rule: sum(map(lambda a, s: s.a1 - a.a4, rule.antecedents, sets)),
+                default=None)
+    if lower is None:
         raise NotFlanked(_NO_LOWER)
-    if upper_best is None:
+    upper = min((rule for rule in ranked if all(map(precedes, sets, rule.antecedents))),
+                key=lambda rule: sum(map(lambda a, s: a.a1 - s.a4, rule.antecedents, sets)),
+                default=None)
+    if upper is None:
         raise NotFlanked(_NO_UPPER)
-    return (rb.rules[lower_best[1]], rb.rules[upper_best[1]])
+    return lower, upper
 
 
 def _weighted_mean(d1: float, d2: float, b1: float, b2: float) -> float:

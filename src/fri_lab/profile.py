@@ -167,8 +167,9 @@ def _float_profile(
 
     The same checks in the same order, the levels of ``np.linspace`` and the
     clamps of ``np.minimum`` and ``np.maximum``, which keep the computed value
-    on a tie or a nan, give the library's bits in one dimension; across
-    several, ``math.hypot`` may differ from ``np.hypot`` in the last bit.
+    on a tie or a nan, give the library's bits in one dimension. Each distance
+    is one ``math.hypot`` call, as in KH, so levels 0 and 1 give KH's points
+    in any dimension order; numpy's pairwise ``np.hypot`` may differ in ulps.
     """
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
@@ -181,9 +182,8 @@ def _float_profile(
         curves = [[g0 * r + g1 * level for r, level in zip(rests, levels)] for g0, g1 in ends]
         b1, b2 = ([kernel if past(x, kernel) else x for x in curve]
                   for (_, kernel), curve in zip(ends[-2:], curves[-2:]))
-        # the distances to the lower and to the upper flank, in np.hypot's reduce order
-        d1, d2 = (reduce(lambda norm, gap: list(map(math.hypot, norm, gap)), flank[1:], flank[0])
-                  for flank in (curves[:k], curves[k:-2]))
+        # the distances to the lower and to the upper flank, one math.hypot each, as in KH
+        d1, d2 = (list(map(math.hypot, *flank)) for flank in (curves[:k], curves[k:-2]))
         means.append(list(map(_weighted_mean, d1, d2, b1, b2)))
     infs, sups = means
     if not all(map(math.isfinite, infs + sups)):

@@ -287,7 +287,7 @@ def test_rule_base_keeps_its_cached_views_when_copied(how):
     base = RuleBase((UPPER, LOWER))
     assert base._point_rows and base._chain_columns  # built and cached
     copied = COPIES[how](base)
-    for name in ("dimension", "_chain", "_point_rows", "_chain_columns"):
+    for name in ("dimension", "_ranked", "_chain", "_point_rows", "_chain_columns"):
         assert name in vars(copied) and getattr(copied, name) == getattr(base, name)
     # the copied chain holds the copy's own rules, not further copies of them
     assert copied._chain[0] is copied.rules[1] and copied._chain[1] is copied.rules[0]

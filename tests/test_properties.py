@@ -459,8 +459,10 @@ def test_float_sweep_matches_sweep_oracle_across_dimensions(case, n_levels):
     assert (got.inf_monotone, got.sup_monotone, got.abnormal_levels) == (
         want.inf_monotone, want.sup_monotone, want.abnormal_levels
     )
-    # math.hypot and np.hypot may differ in a distance's last bit, which moves
-    # an endpoint by ulps of the largest consequent point, as in the profile test
+    # the float sweep takes each distance in one math.hypot call, the library
+    # folds np.hypot pairwise over the dimensions; the two may round a distance
+    # apart in its last bits, which moves an endpoint by ulps of the largest
+    # consequent point, as in the profile test
     lower, upper, _ = case
     ulp = math.ulp(max(abs(b) for rule in (lower, upper) for b in rule.consequent.points()))
     assert abs(got.min_gap - want.min_gap) <= 4 * ulp
@@ -507,8 +509,10 @@ def test_profile_matches_float_profile(case, n_levels):
             list(map(float.hex, side)) for side in want[1:]
         ]
     else:
-        # each endpoint is a weighted mean of consequent points, so a last-bit
-        # difference in a distance moves it by ulps of the largest of them
+        # one math.hypot call over the dimensions and np.hypot folded pairwise
+        # may round a distance apart in its last bits; each endpoint is a
+        # weighted mean of consequent points, so that moves it by ulps of the
+        # largest of them
         ulp = math.ulp(max(abs(b) for rule in (lower, upper) for b in rule.consequent.points()))
         for g, w in zip(got[1:], want[1:]):
             assert max(abs(x - y) for x, y in zip(g, w)) <= 4 * ulp
