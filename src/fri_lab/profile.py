@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
 from typing import TYPE_CHECKING, Iterator
 
 from ._frozen import frozen
@@ -105,6 +104,53 @@ def _cut_ends(lower: Rule, upper: Rule, obs: Observation) -> list[list[tuple[flo
     return sides
 
 
+def _profile(
+    lower: Rule, upper: Rule, obs: Observation, n_levels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`kh_alpha_profile`'s levels, infs and sups, in one pass that
+    writes in place. A gap or a distance that overflows may warn; each caller
+    runs this under one ``np.errstate`` and lets :class:`AlphaProfile` reject
+    what is not finite.
+    """
+    import numpy as np
+
+    if n_levels < 2:
+        raise DomainError(f"need at least 2 levels, got {n_levels}")
+    # np.linspace(0.0, 1.0, n_levels) bit for bit, without its Python cost
+    levels = np.arange(operator.index(n_levels), dtype=float)
+    levels *= 1.0 / (n_levels - 1)
+    levels[-1] = 1.0
+    # the curves as one C-ordered block, by row of _cut_ends, then cut side,
+    # then level, so that every slice below is a view of whole rows
+    rows = list(zip(*_cut_ends(lower, upper, obs)))
+    ends = np.array(rows)
+    curves = ends[..., :1] * (1.0 - levels)
+    curves += ends[..., 1:] * levels
+    # each consequent's cut endpoint stops at its kernel, its value at level 1
+    np.minimum(ends[-2:, 0, 1:], curves[-2:, 0], out=curves[-2:, 0])
+    np.maximum(ends[-2:, 1, 1:], curves[-2:, 1], out=curves[-2:, 1])
+    # the norms of the gaps to the lower and to the upper flank on both cut
+    # sides, folded over the dimensions in the order of their gap ends, so
+    # that any order of the input dimensions gives the same bits
+    k = obs.dimension
+    gaps = curves[:-2].reshape(2, k, 2, n_levels)
+    order = range(k) if k == 1 else sorted(range(k), key=lambda d: (rows[d], rows[k + d]))
+    dists = gaps[:, order[0]]
+    for d in order[1:]:
+        np.hypot(dists, gaps[:, d], out=dists)
+    # _weighted_mean at every level, written over the curves
+    d1, d2 = dists
+    shift = np.frexp(np.maximum(d1, d2))[1]
+    np.subtract(-1, shift, out=shift)
+    np.ldexp(dists, shift, out=dists)
+    b1, b2 = curves[-2:]
+    b1 *= d2
+    b2 *= d1
+    b1 += b2
+    d1 += d2
+    return levels, *np.divide(b1, d1)
+
+
 def kh_alpha_profile(
     lower: Rule, upper: Rule, obs: Observation, n_levels: int = 1001
 ) -> AlphaProfile:
@@ -116,24 +162,15 @@ def kh_alpha_profile(
     endpoint before it stops at the kernel, is ``(1 - α) * v0 + α * v1`` from
     its values at levels 0 and 1 (:func:`_cut_ends`). That form is exact at
     both ends, so in one dimension levels 0 and 1 give KH's points exactly.
+    The levels have the bits of ``np.linspace(0.0, 1.0, n_levels)``, computed
+    without calling it, and each distance folds ``np.hypot`` over the
+    dimensions in an order fixed by their values, so the bits do not depend
+    on the order in which the dimensions are given.
     """
     import numpy as np
 
-    if n_levels < 2:
-        raise DomainError(f"need at least 2 levels, got {n_levels}")
-    ends = np.array(_cut_ends(lower, upper, obs)).swapaxes(0, 1)
-    levels = np.linspace(0.0, 1.0, n_levels)
-    curves = ends[..., :1] * (1.0 - levels) + ends[..., 1:] * levels
-    # each consequent's cut endpoint stops at its kernel, its value at level 1
-    np.minimum(ends[-2:, 0, 1:], curves[-2:, 0], out=curves[-2:, 0])
-    np.maximum(ends[-2:, 1, 1:], curves[-2:, 1], out=curves[-2:, 1])
-    # the norms of the gaps to the lower and to the upper flank on both cut sides
-    k = obs.dimension
-    gaps = curves[:-2].reshape(2, k, 2, n_levels)
-    dists = reduce(np.hypot, (gaps[:, d] for d in range(1, k)), gaps[:, 0])
-    d1, d2 = np.ldexp(dists, -1 - np.frexp(np.maximum(*dists))[1])
-    infs, sups = (d2 * curves[-2] + d1 * curves[-1]) / (d1 + d2)
-    return AlphaProfile(levels, infs, sups)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return AlphaProfile(*_profile(lower, upper, obs, n_levels))
 
 
 def sweep_oracle(
@@ -142,12 +179,16 @@ def sweep_oracle(
     """Dense sweep over cut levels, summarising gaps and nesting.
 
     Independent of the segment diagnostics: it looks only at the sampled
-    interval endpoints. A conclusion is flagged abnormal when some level's
-    interval inverts (negative gap) or when the interval family is not
-    nested (an endpoint curve runs the wrong way). Needs numpy.
+    interval endpoints of :func:`kh_alpha_profile`. A conclusion is flagged
+    abnormal when some level's interval inverts (negative gap) or when the
+    interval family is not nested (an endpoint curve runs the wrong way).
+    Needs numpy.
     """
-    profile = kh_alpha_profile(r1, r2, obs, n_levels=n_levels)
-    gaps = profile.sups - profile.infs
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile = AlphaProfile(*_profile(r1, r2, obs, n_levels))
+        gaps = profile.sups - profile.infs
     min_raw = float(gaps.min())
     # near-ties resolve toward the highest level, where inversions concentrate
     idx = int(_at_most(gaps, min_raw).nonzero()[0][-1])
@@ -165,11 +206,13 @@ def _float_profile(
 ) -> tuple[list[float], list[float], list[float]]:
     """:func:`kh_alpha_profile`'s levels, infs and sups in plain floats, for the CLI.
 
-    The same checks in the same order, the levels of ``np.linspace`` and the
-    clamps of ``np.minimum`` and ``np.maximum``, which keep the computed value
-    on a tie or a nan, give the library's bits in one dimension. Each distance
-    is one ``math.hypot`` call, as in KH, so levels 0 and 1 give KH's points
-    in any dimension order; numpy's pairwise ``np.hypot`` may differ in ulps.
+    The same checks in the same order, the levels of ``np.linspace`` (level
+    ``i`` is ``i * (1 / (n_levels - 1))``, the last 1.0, as in the library,
+    neither calling it) and the clamps of ``np.minimum`` and ``np.maximum``,
+    which keep the computed value on a tie or a nan, give the library's bits
+    in one dimension. Each distance is one ``math.hypot`` call, as in KH, so
+    levels 0 and 1 give KH's points in any dimension order; numpy's
+    ``np.hypot`` folded pairwise may differ in ulps.
     """
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")

@@ -11,11 +11,13 @@ Each relation transforms a valid input and states what the outputs must do:
   tags, the overall verdict and the 101-level sweep's ``abnormal`` stay.
 - Dimension order: permuting the input dimensions of the rules and the
   observation leaves the KH points bit-identical, since ``math.hypot`` takes
-  each distance in one call, and the 101-level sweep's ``abnormal`` equal.
-  The CLI's plain-float profile and sweep, which take each distance in the
-  same one call, stay bit-identical, and the profile's levels 0 and 1 are
-  KH's points. KHstab's points stay bit-identical when every dimension
-  orders the rules alike, so that the rules are weighted in one chain order.
+  each distance in one call. The numpy α-profile and its 101-level sweep,
+  which fold ``np.hypot`` over the dimensions in an order fixed by their
+  values, stay bit-identical, and so do the CLI's plain-float profile and
+  sweep, which take each distance in KH's one call; that profile's levels 0
+  and 1 are KH's points. KHstab's points stay bit-identical when every
+  dimension orders the rules alike, so that the rules are weighted in one
+  chain order.
 - Rule order again: shuffling a rule base's rules leaves the flanks that
   ``select_flanking`` picks, ties in summed gap included.
 - Powers of two: scaling the antecedents and the observation by ``2**p`` and
@@ -144,7 +146,11 @@ def test_dimension_order_leaves_kh_bits_and_the_sweep(k):
         assert bits(kh_characteristic_points(*permuted).as_tuple()) == bits(
             kh_characteristic_points(lower, upper, obs).as_tuple()
         )
-        assert sweep_oracle(*permuted, 101).abnormal == sweep_oracle(lower, upper, obs, 101).abnormal
+        got, want = (kh_alpha_profile(*config, 101) for config in (permuted, (lower, upper, obs)))
+        assert [bits(side) for side in (got.infs, got.sups)] == [
+            bits(side) for side in (want.infs, want.sups)
+        ]
+        assert repr(sweep_oracle(*permuted, 101)) == repr(sweep_oracle(lower, upper, obs, 101))
 
 
 @st.composite

@@ -424,6 +424,13 @@ NAN_END_DISTANCE = (
 )
 # the gap from the lower antecedent to the observation itself overflows
 GAP_OVERFLOW = (T(*[-1e308] * 4), T(*[1.5e308] * 4), T(*[1e308] * 4))
+# a finite profile whose widest cut, from about -1.7e308 to 1.7e308, is wider
+# than the largest float, so the sweep's sups - infs overflows to inf
+WIDE_CUT_CASE = (
+    Rule((T(0, 1, 2, 3),), T(-1.7e308, 0, 0, 1.7e308)),
+    Rule((T(6, 7, 8, 9),), T(-1.6e308, 0, 0, 1.6e308)),
+    Observation((T(4, 4.5, 4.5, 5),)),
+)
 
 
 def flanked(lows, ups, observed):
@@ -434,7 +441,7 @@ def outcome(profile_or_sweep, lower, upper, obs, n_levels):
     """The call's result, or the type and message of the error it raised."""
     try:
         return profile_or_sweep(lower, upper, obs, n_levels)
-    except FriError as exc:
+    except (FriError, TypeError) as exc:
         return type(exc), str(exc)
 
 
@@ -468,7 +475,7 @@ def test_float_sweep_matches_sweep_oracle_across_dimensions(case, n_levels):
     assert abs(got.min_gap - want.min_gap) <= 4 * ulp
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "case, n_levels, error",
     [
@@ -477,18 +484,23 @@ def test_float_sweep_matches_sweep_oracle_across_dimensions(case, n_levels):
         (flanked((NEAR,), (NEAREST,), (NEARER,)), -3, "DomainError"),
         (flanked((NEAREST,), (NEAR,), (NEARER,)), 11, "OrderingViolation"),
         (flanked(*[(s,) for s in GAP_OVERFLOW]), 11, "DomainError"),
+        (flanked((NEAR,), (NEAREST,), (NEARER,)), 11.0, "TypeError"),
+        (flanked((NEAR,), (NEAREST,), (NEARER,)), 2.5, "TypeError"),
     ],
-    ids=["1-level", "0-levels", "-3-levels", "unflanked", "gap-overflow"],
+    ids=["1-level", "0-levels", "-3-levels", "unflanked", "gap-overflow", "11.0-levels",
+         "2.5-levels"],
 )
 def test_float_sweep_fails_like_sweep_oracle(case, n_levels, error):
-    want = outcome(sweep_oracle, *case, n_levels)
-    assert outcome(_sweep_in_floats, *case, n_levels) == want
-    assert want[0].__name__ == error
+    for numpy_form, float_form in ((kh_alpha_profile, _float_profile),
+                                   (sweep_oracle, _sweep_in_floats)):
+        want = outcome(numpy_form, *case, n_levels)
+        assert outcome(float_form, *case, n_levels) == want
+        assert want[0].__name__ == error
 
 
 # The library's α-profile against the CLI's plain-float profile, also at the
 # float extremes, where either may fail because a gap or a distance overflowed
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300)
 @given(st.one_of(profile_cases(), extreme_flanked_configs()), st.sampled_from((2, 3, 11, 101)))
 @example(flanked(*[(s,) for s in GAP_OVERFLOW]), 11)
@@ -525,12 +537,13 @@ def test_profile_matches_float_profile(case, n_levels):
 NOT_FINITE = re.compile(r"conclusion point \S+ is not finite|profile endpoints must be finite")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300)
 @given(extreme_flanked_configs())
 @example(flanked(*[(s,) for s in GAP_OVERFLOW]))
 @example(SUBNORMAL_3D_CASE)
 @example(SIDE_SCALES_CASE)
+@example(WIDE_CUT_CASE)
 def test_two_rule_mean_is_total_on_flanked_configurations(case):
     for interpolate in (kh_characteristic_points,
                         *(partial(f, n_levels=11)
