@@ -73,12 +73,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cases = builtin_cases()
     if args.case is not None:
         cases = tuple(c for c in cases if c.case_id == args.case)
-    results = [run_case(c) for c in cases]
-    # the sweeps and the CSV write, which can fail, run before the first line is printed
+    # the sweeps and the CSV write, which can fail, run before the first line is
+    # printed; each case's sweep follows its run, whose KH points and gaps it reuses
     out = []
     rows = []
     n_passed = 0
-    for case, result in zip(cases, results):
+    for case in cases:
+        result = run_case(case)
         report = result.report
         passed = result.passed
         oracle = _sweep(args.sweep, case.rule_lower, case.rule_upper, case.observation)
@@ -132,7 +133,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"computed {_fmt_points(ref.computed_points, args.decimals)} "
                     f"{'pass' if ref.passed else 'FAIL'}"
                 )
-    out.append(f"{n_passed}/{len(results)} cases passed")
+    out.append(f"{n_passed}/{len(cases)} cases passed")
     if args.csv:
         import csv
 
@@ -144,7 +145,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             writer.writerows(rows)
         out.append(f"wrote {len(rows)} rows to {args.csv}")
     print("\n".join(out))
-    return 0 if n_passed == len(results) else 1
+    return 0 if n_passed == len(cases) else 1
 
 
 def _flanked_document(path: str, one_dimension_only: str | None = None):

@@ -281,6 +281,30 @@ def _weighted_mean(d1: float, d2: float, b1: float, b2: float) -> float:
     return (d2 * b1 + d1 * b2) / (d1 + d2)
 
 
+# The last flanked configuration KH was asked about, read once:
+# ``(lower, upper, obs, gaps, points)``, with _gaps' checked pair (its lists
+# are read, never written) and KH's points, or None. A hit needs the very
+# three input objects, compared by identity: equal but distinct inputs (a
+# consequent of -0.0 against 0.0) never share an entry. The entry holds its
+# inputs, so their ids cannot be reused while it lives. Each reader reads it
+# once into a local and a writer replaces it whole, so two threads can miss
+# but never read another configuration's entry.
+_flanked = None
+
+
+def _is_entry_of(memo: tuple | None, lower: Rule, upper: Rule, obs: Observation) -> bool:
+    """Whether the memo entry ``(lower, upper, obs, ...)`` is of these very three objects."""
+    return memo is not None and memo[0] is lower and memo[1] is upper and memo[2] is obs
+
+
+def _checked_gaps(lower: Rule, upper: Rule, obs: Observation) -> tuple[list[tuple], list[tuple]]:
+    """:func:`_gaps` of the configuration, the memo's when KH last read it."""
+    memo = _flanked
+    if _is_entry_of(memo, lower, upper, obs):
+        return memo[3]
+    return _gaps(lower, upper, obs)
+
+
 def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> ConclusionPoints:
     """Interpolate the four conclusion points between two flanking rules.
 
@@ -293,10 +317,21 @@ def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> Conc
     so the conclusion leans toward the nearer rule's consequent. The output
     is not sorted. Each point's pair of distances is scaled as
     :func:`_weighted_mean` describes.
+
+    The last configuration's points are kept, keyed by the identity of the
+    three inputs, so a repeated call on the same objects (``full_report``
+    after this, say) returns the same :class:`ConclusionPoints` object again.
+    A call that raises keeps nothing.
     """
-    below, above = _gaps(lower, upper, obs)
-    return ConclusionPoints(*map(_weighted_mean, map(math.hypot, *below), map(math.hypot, *above),
-                                 lower.consequent.points(), upper.consequent.points()))
+    global _flanked
+    memo = _flanked
+    if _is_entry_of(memo, lower, upper, obs):
+        return memo[4]
+    below, above = gaps = _gaps(lower, upper, obs)
+    points = ConclusionPoints(*map(_weighted_mean, map(math.hypot, *below), map(math.hypot, *above),
+                                   lower.consequent.points(), upper.consequent.points()))
+    _flanked = (lower, upper, obs, gaps, points)
+    return points
 
 
 def khstab_points(rb: RuleBase, obs: Observation) -> ConclusionPoints:

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from typing import TYPE_CHECKING, Iterator
 
 from ._frozen import frozen
 from .errors import DomainError
-from .interpolate import Observation, Rule, _at_most, _gaps, _weighted_mean
+from .interpolate import (Observation, Rule, _at_most, _checked_gaps, _is_entry_of,
+                          _weighted_mean)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,8 +93,9 @@ def _cut_ends(lower: Rule, upper: Rule, obs: Observation) -> list[list[tuple[flo
     depend only on ratios of distances. After scaling, a side's largest gap
     end is at least 1/2 and the other end of its curve positive, so that
     curve, and the distance to its flank, stay positive at every level.
+    The gaps are KH's checked ones when KH last read this configuration.
     """
-    below, above = _gaps(lower, upper, obs)
+    below, above = _checked_gaps(lower, upper, obs)
     consequents = (lower.consequent.points(), upper.consequent.points())
     sides = []
     for start, end in ((0, 1), (3, 2)):
@@ -108,16 +111,14 @@ def _profile(
     lower: Rule, upper: Rule, obs: Observation, n_levels: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`kh_alpha_profile`'s levels, infs and sups, in one pass that
-    writes in place. A gap or a distance that overflows may warn; each caller
-    runs this under one ``np.errstate`` and lets :class:`AlphaProfile` reject
-    what is not finite.
+    writes in place, for an ``n_levels`` already checked. A gap or a distance
+    that overflows may warn; :func:`kh_alpha_profile` runs this under one
+    ``np.errstate`` and lets :class:`AlphaProfile` reject what is not finite.
     """
     import numpy as np
 
-    if n_levels < 2:
-        raise DomainError(f"need at least 2 levels, got {n_levels}")
     # np.linspace(0.0, 1.0, n_levels) bit for bit, without its Python cost
-    levels = np.arange(operator.index(n_levels), dtype=float)
+    levels = np.arange(n_levels, dtype=float)
     levels *= 1.0 / (n_levels - 1)
     levels[-1] = 1.0
     # the curves as one C-ordered block, by row of _cut_ends, then cut side,
@@ -151,6 +152,15 @@ def _profile(
     return levels, *np.divide(b1, d1)
 
 
+# The last profile built: ``(lower, upper, obs, n_levels, ref)``, with a weak
+# reference to its AlphaProfile, or None. A hit needs the very three input
+# objects, compared by identity, which the entry holds so that their ids
+# cannot be reused, the same level count, and the profile still alive: the
+# entry never keeps a profile's arrays alive after its caller drops them. Read
+# once into a local and replaced whole, like interpolate's KH memo.
+_last_profile = None
+
+
 def kh_alpha_profile(
     lower: Rule, upper: Rule, obs: Observation, n_levels: int = 1001
 ) -> AlphaProfile:
@@ -166,11 +176,29 @@ def kh_alpha_profile(
     without calling it, and each distance folds ``np.hypot`` over the
     dimensions in an order fixed by their values, so the bits do not depend
     on the order in which the dimensions are given.
+
+    While a returned profile is alive, a call on the same three objects and
+    level count (this one again, or :func:`sweep_oracle`) returns that same
+    profile; it is matched by identity and held weakly, so dropping it frees
+    its arrays. Its arrays are read-only, and writing to them after
+    ``setflags(write=True)`` is unsupported: every later hit would see it.
+    A call that raises keeps nothing.
     """
+    global _last_profile
     import numpy as np
 
+    if n_levels < 2:
+        raise DomainError(f"need at least 2 levels, got {n_levels}")
+    n_levels = operator.index(n_levels)
+    memo = _last_profile
+    if _is_entry_of(memo, lower, upper, obs) and memo[3] == n_levels:
+        profile = memo[4]()
+        if profile is not None:
+            return profile
     with np.errstate(over="ignore", invalid="ignore"):
-        return AlphaProfile(*_profile(lower, upper, obs, n_levels))
+        profile = AlphaProfile(*_profile(lower, upper, obs, n_levels))
+    _last_profile = (lower, upper, obs, n_levels, weakref.ref(profile))
+    return profile
 
 
 def sweep_oracle(
@@ -183,11 +211,15 @@ def sweep_oracle(
     abnormal when some level's interval inverts (negative gap) or when the
     interval family is not nested (an endpoint curve runs the wrong way).
     Needs numpy.
+
+    It summarises the very profile :func:`kh_alpha_profile` returned for the
+    same three objects and level count while the caller still holds it, and
+    builds one otherwise; see there. Each call returns a new result.
     """
     import numpy as np
 
+    profile = kh_alpha_profile(r1, r2, obs, n_levels)
     with np.errstate(over="ignore", invalid="ignore"):
-        profile = AlphaProfile(*_profile(r1, r2, obs, n_levels))
         gaps = profile.sups - profile.infs
     min_raw = float(gaps.min())
     # near-ties resolve toward the highest level, where inversions concentrate
