@@ -281,28 +281,34 @@ def _weighted_mean(d1: float, d2: float, b1: float, b2: float) -> float:
     return (d2 * b1 + d1 * b2) / (d1 + d2)
 
 
-# The last flanked configuration KH was asked about, read once:
-# ``(lower, upper, obs, gaps, points)``, with _gaps' checked pair (its lists
-# are read, never written) and KH's points, or None. A hit needs the very
-# three input objects, compared by identity: equal but distinct inputs (a
-# consequent of -0.0 against 0.0) never share an entry. The entry holds its
-# inputs, so their ids cannot be reused while it lives. Each reader reads it
-# once into a local and a writer replaces it whole, so two threads can miss
-# but never read another configuration's entry.
-_flanked = None
+class _Flanked:
+    """One flanked configuration, read once: its three inputs, :func:`_gaps`'
+    checked pair (its lists are read, never written), KH's points once
+    computed, and the last α-profile as ``(n_levels, weakref)``, or None."""
+
+    __slots__ = ("lower", "upper", "obs", "gaps", "points", "profile")
 
 
-def _is_entry_of(memo: tuple | None, lower: Rule, upper: Rule, obs: Observation) -> bool:
-    """Whether the memo entry ``(lower, upper, obs, ...)`` is of these very three objects."""
-    return memo is not None and memo[0] is lower and memo[1] is upper and memo[2] is obs
+# The one kept _Flanked, or None. A hit needs the very three input objects,
+# compared by identity: equal but distinct inputs (a consequent of -0.0 against
+# 0.0) never share an entry. It holds its inputs, so their ids cannot be reused
+# while it lives, and its profile weakly, so dropping that frees its arrays. A
+# reader keeps an entry once its own result is stored on it, so a call that
+# raises keeps nothing; slots are written whole, so two threads can miss but
+# never read another configuration's entry or a half-written slot.
+_kept = None
 
 
-def _checked_gaps(lower: Rule, upper: Rule, obs: Observation) -> tuple[list[tuple], list[tuple]]:
-    """:func:`_gaps` of the configuration, the memo's when KH last read it."""
-    memo = _flanked
-    if _is_entry_of(memo, lower, upper, obs):
-        return memo[3]
-    return _gaps(lower, upper, obs)
+def _flanked(lower: Rule, upper: Rule, obs: Observation) -> _Flanked:
+    """The kept entry if it is of these very three objects, else a new one,
+    not kept yet, whose gaps :func:`_gaps` checks, raising what it raises."""
+    entry = _kept
+    if entry is not None and entry.lower is lower and entry.upper is upper and entry.obs is obs:
+        return entry
+    entry = _Flanked()
+    entry.gaps = _gaps(lower, upper, obs)
+    entry.lower, entry.upper, entry.obs, entry.points, entry.profile = lower, upper, obs, None, None
+    return entry
 
 
 def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> ConclusionPoints:
@@ -318,19 +324,20 @@ def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> Conc
     is not sorted. Each point's pair of distances is scaled as
     :func:`_weighted_mean` describes.
 
-    The last configuration's points are kept, keyed by the identity of the
-    three inputs, so a repeated call on the same objects (``full_report``
-    after this, say) returns the same :class:`ConclusionPoints` object again.
-    A call that raises keeps nothing.
+    The points are kept with the configuration, matched by the identity of
+    the three inputs, so a repeated call on the same objects (``full_report``
+    after this, say) returns the same :class:`ConclusionPoints` object again,
+    until a call on another configuration. A call that raises keeps nothing.
     """
-    global _flanked
-    memo = _flanked
-    if _is_entry_of(memo, lower, upper, obs):
-        return memo[4]
-    below, above = gaps = _gaps(lower, upper, obs)
-    points = ConclusionPoints(*map(_weighted_mean, map(math.hypot, *below), map(math.hypot, *above),
-                                   lower.consequent.points(), upper.consequent.points()))
-    _flanked = (lower, upper, obs, gaps, points)
+    global _kept
+    entry = _flanked(lower, upper, obs)
+    points = entry.points
+    if points is None:
+        below, above = entry.gaps
+        points = entry.points = ConclusionPoints(
+            *map(_weighted_mean, map(math.hypot, *below), map(math.hypot, *above),
+                 lower.consequent.points(), upper.consequent.points()))
+        _kept = entry
     return points
 
 

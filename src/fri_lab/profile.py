@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, Iterator
 
 from ._frozen import frozen
 from .errors import DomainError
-from .interpolate import (Observation, Rule, _at_most, _checked_gaps, _is_entry_of,
-                          _weighted_mean)
+from . import interpolate
+from .interpolate import Observation, Rule, _at_most, _Flanked, _flanked, _weighted_mean
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,19 +84,20 @@ class SweepOracleResult:
         return bool(self.abnormal_levels) or not (self.inf_monotone and self.sup_monotone)
 
 
-def _cut_ends(lower: Rule, upper: Rule, obs: Observation) -> list[list[tuple[float, float]]]:
+def _cut_ends(entry: _Flanked) -> list[list[tuple[float, float]]]:
     """Per cut side (inf: point 1 to 2, sup: point 4 to 3), every α-profile
-    curve's values at levels 0 and 1: the :func:`_gaps` to the lower flank in
-    every dimension, then to the upper, then the two consequents' points. A
-    side's gaps, when all lie below 1/2, are scaled up by the side's own power
-    of two, lest subnormal gaps lose bits when interpolated; the weights
-    depend only on ratios of distances. After scaling, a side's largest gap
-    end is at least 1/2 and the other end of its curve positive, so that
-    curve, and the distance to its flank, stay positive at every level.
-    The gaps are KH's checked ones when KH last read this configuration.
+    curve's values at levels 0 and 1: the entry's checked :func:`_gaps` to
+    the lower flank in every dimension, then to the upper, then the two
+    consequents' points. A side's gaps, when all lie below 1/2, are scaled up
+    by the side's own power of two, lest subnormal gaps lose bits when
+    interpolated; the weights depend only on ratios of distances. After
+    scaling, a side's largest gap end is at least 1/2 and the other end of its
+    curve positive, so that curve, and the distance to its flank, stay
+    positive at every level. Calls share the gaps until one on another
+    configuration.
     """
-    below, above = _checked_gaps(lower, upper, obs)
-    consequents = (lower.consequent.points(), upper.consequent.points())
+    below, above = entry.gaps
+    consequents = (entry.lower.consequent.points(), entry.upper.consequent.points())
     sides = []
     for start, end in ((0, 1), (3, 2)):
         ends = [(g[start], g[end]) for g in (*below, *above)]
@@ -107,13 +108,12 @@ def _cut_ends(lower: Rule, upper: Rule, obs: Observation) -> list[list[tuple[flo
     return sides
 
 
-def _profile(
-    lower: Rule, upper: Rule, obs: Observation, n_levels: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`kh_alpha_profile`'s levels, infs and sups, in one pass that
-    writes in place, for an ``n_levels`` already checked. A gap or a distance
-    that overflows may warn; :func:`kh_alpha_profile` runs this under one
-    ``np.errstate`` and lets :class:`AlphaProfile` reject what is not finite.
+def _profile(entry: _Flanked, n_levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`kh_alpha_profile`'s levels, infs and sups of the entry, in one
+    pass that writes in place, for an ``n_levels`` already checked. A gap or
+    a distance that overflows may warn; :func:`kh_alpha_profile` runs this
+    under one ``np.errstate`` and lets :class:`AlphaProfile` reject what is
+    not finite.
     """
     import numpy as np
 
@@ -123,7 +123,7 @@ def _profile(
     levels[-1] = 1.0
     # the curves as one C-ordered block, by row of _cut_ends, then cut side,
     # then level, so that every slice below is a view of whole rows
-    rows = list(zip(*_cut_ends(lower, upper, obs)))
+    rows = list(zip(*_cut_ends(entry)))
     ends = np.array(rows)
     curves = ends[..., :1] * (1.0 - levels)
     curves += ends[..., 1:] * levels
@@ -133,7 +133,7 @@ def _profile(
     # the norms of the gaps to the lower and to the upper flank on both cut
     # sides, folded over the dimensions in the order of their gap ends, so
     # that any order of the input dimensions gives the same bits
-    k = obs.dimension
+    k = entry.obs.dimension
     gaps = curves[:-2].reshape(2, k, 2, n_levels)
     order = range(k) if k == 1 else sorted(range(k), key=lambda d: (rows[d], rows[k + d]))
     dists = gaps[:, order[0]]
@@ -150,15 +150,6 @@ def _profile(
     b1 += b2
     d1 += d2
     return levels, *np.divide(b1, d1)
-
-
-# The last profile built: ``(lower, upper, obs, n_levels, ref)``, with a weak
-# reference to its AlphaProfile, or None. A hit needs the very three input
-# objects, compared by identity, which the entry holds so that their ids
-# cannot be reused, the same level count, and the profile still alive: the
-# entry never keeps a profile's arrays alive after its caller drops them. Read
-# once into a local and replaced whole, like interpolate's KH memo.
-_last_profile = None
 
 
 def kh_alpha_profile(
@@ -178,26 +169,27 @@ def kh_alpha_profile(
     on the order in which the dimensions are given.
 
     While a returned profile is alive, a call on the same three objects and
-    level count (this one again, or :func:`sweep_oracle`) returns that same
-    profile; it is matched by identity and held weakly, so dropping it frees
-    its arrays. Its arrays are read-only, and writing to them after
-    ``setflags(write=True)`` is unsupported: every later hit would see it.
-    A call that raises keeps nothing.
+    level count (this one again, or :func:`sweep_oracle`) returns it again
+    until a call on another configuration; it is matched by identity and
+    held weakly, so dropping it frees its arrays. Its arrays are read-only,
+    and writing to them after ``setflags(write=True)`` is unsupported: every
+    later hit would see it. A call that raises keeps nothing.
     """
-    global _last_profile
     import numpy as np
 
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
     n_levels = operator.index(n_levels)
-    memo = _last_profile
-    if _is_entry_of(memo, lower, upper, obs) and memo[3] == n_levels:
-        profile = memo[4]()
+    entry = _flanked(lower, upper, obs)
+    held = entry.profile
+    if held is not None and held[0] == n_levels:
+        profile = held[1]()
         if profile is not None:
             return profile
     with np.errstate(over="ignore", invalid="ignore"):
-        profile = AlphaProfile(*_profile(lower, upper, obs, n_levels))
-    _last_profile = (lower, upper, obs, n_levels, weakref.ref(profile))
+        profile = AlphaProfile(*_profile(entry, n_levels))
+    entry.profile = (n_levels, weakref.ref(profile))
+    interpolate._kept = entry
     return profile
 
 
@@ -213,8 +205,8 @@ def sweep_oracle(
     Needs numpy.
 
     It summarises the very profile :func:`kh_alpha_profile` returned for the
-    same three objects and level count while the caller still holds it, and
-    builds one otherwise; see there. Each call returns a new result.
+    same objects and level count, while held and until a call on another
+    configuration, and builds one otherwise. Each call returns a new result.
     """
     import numpy as np
 
@@ -244,7 +236,8 @@ def _float_profile(
     which keep the computed value on a tie or a nan, give the library's bits
     in one dimension. Each distance is one ``math.hypot`` call, as in KH, so
     levels 0 and 1 give KH's points in any dimension order; numpy's
-    ``np.hypot`` folded pairwise may differ in ulps.
+    ``np.hypot`` folded pairwise may differ in ulps. A finite result keeps
+    its gaps for later calls, until a call on another configuration.
     """
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
@@ -252,8 +245,9 @@ def _float_profile(
     levels = [i * step for i in range(n_levels - 1)] + [1.0]
     rests = [1.0 - level for level in levels]
     k = obs.dimension
+    entry = _flanked(lower, upper, obs)
     means = []
-    for ends, past in zip(_cut_ends(lower, upper, obs), (operator.gt, operator.lt)):
+    for ends, past in zip(_cut_ends(entry), (operator.gt, operator.lt)):
         curves = [[g0 * r + g1 * level for r, level in zip(rests, levels)] for g0, g1 in ends]
         b1, b2 = ([kernel if past(x, kernel) else x for x in curve]
                   for (_, kernel), curve in zip(ends[-2:], curves[-2:]))
@@ -263,6 +257,7 @@ def _float_profile(
     infs, sups = means
     if not all(map(math.isfinite, infs + sups)):
         raise DomainError("profile endpoints must be finite")
+    interpolate._kept = entry
     return levels, infs, sups
 
 

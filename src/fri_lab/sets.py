@@ -79,10 +79,6 @@ class TrapezoidSet:
         return (self.a1, self.a2, self.a3, self.a4)
 
     @property
-    def is_triangle(self) -> bool:
-        return self.a2 == self.a3
-
-    @property
     def is_singleton(self) -> bool:
         return self.a1 == self.a4
 

@@ -1,15 +1,18 @@
-"""The memo of the last flanked configuration: KH's points and the α-profile.
+"""The memo of the last flanked configuration: one entry for its checked
+gaps, KH's points and the α-profile.
 
-``kh_characteristic_points`` keeps its last configuration's checked gaps and
-points, and ``kh_alpha_profile`` and ``sweep_oracle`` share the last profile
-while its caller holds it. A hit must give the bits of a fresh computation,
-only the very same input objects may hit, the level-count checks and the
-flank checks run on every call, and a dropped profile is freed.
+``kh_characteristic_points``, ``kh_alpha_profile`` and the float sweep keep
+the entry of the last configuration they read, and ``kh_alpha_profile`` and
+``sweep_oracle`` share its profile while its caller holds it. A hit must give
+the bits of a fresh computation, only the very same input objects may hit,
+the level-count checks and the flank checks run on every call, the gaps are
+checked once per configuration, and a dropped profile is freed.
 """
 import copy
 import gc
 import itertools
 import math
+import operator
 import random
 import sys
 import threading
@@ -29,21 +32,30 @@ from fri_lab import (
     kh_characteristic_points,
     sweep_oracle,
 )
-from fri_lab import interpolate, profile
+from fri_lab import interpolate
 from fri_lab.cli import main
 from fri_lab.errors import DomainError, OrderingViolation
 from fri_lab.interpolate import _at_most
+from fri_lab.profile import _sweep_in_floats
 
 from genutil import random_flanked_config
 
 T = TrapezoidSet
 N_LEVELS = 101
-CALLS = {
-    "kh": kh_characteristic_points,
-    "report": full_report,
-    "profile": lambda l, u, o: kh_alpha_profile(l, u, o, N_LEVELS),
-    "sweep": lambda l, u, o: sweep_oracle(l, u, o, N_LEVELS),
-}
+
+
+def calls(n_levels):
+    """Every reader of the memo, those that sweep at ``n_levels`` levels."""
+    return {
+        "kh": kh_characteristic_points,
+        "report": full_report,
+        "profile": lambda l, u, o: kh_alpha_profile(l, u, o, n_levels),
+        "sweep": lambda l, u, o: sweep_oracle(l, u, o, n_levels),
+        "floats": lambda l, u, o: _sweep_in_floats(l, u, o, n_levels),
+    }
+
+
+CALLS = calls(N_LEVELS)
 
 
 def bits(result):
@@ -55,9 +67,8 @@ def bits(result):
 
 
 def fresh(call, config):
-    """The call's bits with both memos empty, so nothing is read from them."""
-    interpolate._flanked = None
-    profile._last_profile = None
+    """The call's bits with the memo empty, so nothing is read from it."""
+    interpolate._kept = None
     return bits(call(*config))
 
 
@@ -75,24 +86,39 @@ def signed_zero_config(zero):
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(CALLS)), ids="-".join)
-def test_hits_have_the_bits_of_fresh_results_in_every_call_order(order):
+def test_hits_have_the_bits_of_fresh_results_in_every_call_order(monkeypatch, order):
     a, b = two_configs(1)
     configs = {"a": a, "b": b}
     want = {(name, key): fresh(CALLS[name], config)
             for name in CALLS for key, config in configs.items()}
+    checked = []
+    gaps = interpolate._gaps
+
+    def counted(*args):
+        checked.append(args)
+        return gaps(*args)
+
+    monkeypatch.setattr(interpolate, "_gaps", counted)
     held = []  # keeps every profile alive, so the profile memo can hit
+    last = None
     for key in "aabab" + "bba":
+        checked.clear()
         for name in order:
             result = CALLS[name](*configs[key])
             held.append(result)
             assert bits(result) == want[name, key], (name, key)
+        # the gaps are checked once each time the configuration changes
+        assert len(checked) == (key != last), key
+        last = key
 
 
 def test_a_held_profile_is_returned_again_and_summarised_by_the_sweep():
     config, other = two_configs(3)
+    first = kh_alpha_profile(*config, N_LEVELS)
+    assert kh_alpha_profile(*config, N_LEVELS) is first
+    kh_characteristic_points(*other)  # one entry: another configuration evicts the profile
     held = kh_alpha_profile(*config, N_LEVELS)
-    assert kh_alpha_profile(*config, N_LEVELS) is held
-    kh_characteristic_points(*other)  # KH's memo does not evict the profile
+    assert held is not first and bits(held) == bits(first)
     assert kh_alpha_profile(*config, N_LEVELS) is held
     assert kh_alpha_profile(*config, N_LEVELS + 1) is not held
     assert kh_alpha_profile(*config, N_LEVELS) is not held  # one entry: evicted
@@ -119,7 +145,7 @@ def test_equal_but_distinct_inputs_never_share_an_entry():
     assert kh_alpha_profile(*twin, N_LEVELS) is not kept
 
 
-@pytest.mark.parametrize("call", [kh_alpha_profile, sweep_oracle])
+@pytest.mark.parametrize("call", [kh_alpha_profile, sweep_oracle, _sweep_in_floats])
 def test_level_counts_are_checked_on_every_call(call):
     config = signed_zero_config(0.0)
     held = kh_alpha_profile(*config, 1001)
@@ -147,12 +173,14 @@ def test_a_call_that_raises_raises_again_and_keeps_nothing(config, error):
     good = signed_zero_config(0.0)
     kh_characteristic_points(*good)
     held = kh_alpha_profile(*good, N_LEVELS)
-    entries = interpolate._flanked, profile._last_profile
+    kept = interpolate._kept
+    slots = kept.gaps, kept.points, kept.profile
     for _ in range(2):
         for call in CALLS.values():
             with pytest.raises(error):
                 call(*config)
-    assert interpolate._flanked is entries[0] and profile._last_profile is entries[1]
+    assert interpolate._kept is kept
+    assert all(map(operator.is_, (kept.gaps, kept.points, kept.profile), slots))
     assert kh_alpha_profile(*good, N_LEVELS) is held
 
 
@@ -167,29 +195,36 @@ def test_a_dropped_profile_is_freed():
     # and the sweep's own profile is not kept either
     sweep_oracle(*config, N_LEVELS)
     gc.collect()
-    assert profile._last_profile[4]() is None
+    assert interpolate._kept.profile[1]() is None
 
 
 def test_threads_get_their_own_bits():
-    # four threads, more than a two-CPU host has cores
-    configs = two_configs(11) + two_configs(12)
-    want = [{name: fresh(call, config) for name, call in CALLS.items()} for config in configs]
+    # six threads, more than a two-CPU host has cores: four on configurations
+    # of their own, and two sharing one at different level counts, so that
+    # each overwrites the other's profile in the shared entry
+    shared = two_configs(13)[0]
+    jobs = [(config, N_LEVELS) for config in two_configs(11) + two_configs(12)]
+    jobs += [(shared, N_LEVELS), (shared, 11)]
+    want = [{name: fresh(call, config) for name, call in calls(n_levels).items()}
+            for config, n_levels in jobs]
     failures = []
-    start = threading.Barrier(len(configs), timeout=60)
+    start = threading.Barrier(len(jobs), timeout=60)
 
-    def work(config, expected):
+    def work(config, n_levels, expected):
         start.wait()
+        readers = calls(n_levels)
         for _ in range(100):
-            # every result is held until all four are read, so the sweep can
-            # hit the profile unless another thread replaced it
-            results = {name: call(*config) for name, call in CALLS.items()}
+            # every result is held until all are read, so the sweep can hit
+            # the profile unless another thread replaced it
+            results = {name: call(*config) for name, call in readers.items()}
             failures.extend(name for name, result in results.items()
                             if bits(result) != expected[name])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=pair) for pair in zip(configs, want)]
+        threads = [threading.Thread(target=work, args=(*job, expected))
+                   for job, expected in zip(jobs, want)]
         for thread in threads:
             thread.start()
         for thread in threads:

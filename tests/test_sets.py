@@ -26,7 +26,7 @@ class TestMakeSet:
 
     def test_singleton(self):
         s = TrapezoidSet(2, 2, 2, 2)
-        assert s.is_singleton and s.is_triangle
+        assert s.is_singleton
         assert s.points() == (2.0, 2.0, 2.0, 2.0)
 
     def test_ordering_violation_reports_first_bad_pair(self):
