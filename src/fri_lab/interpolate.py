@@ -284,30 +284,32 @@ def _weighted_mean(d1: float, d2: float, b1: float, b2: float) -> float:
 class _Flanked:
     """One flanked configuration, read once: its three inputs, :func:`_gaps`'
     checked pair (its lists are read, never written), KH's points once
-    computed, and the last α-profile as ``(n_levels, weakref)``, or None."""
+    computed, and a weak reference to the last α-profile, or None."""
 
     __slots__ = ("lower", "upper", "obs", "gaps", "points", "profile")
 
 
-# The one kept _Flanked, or None. A hit needs the very three input objects,
-# compared by identity: equal but distinct inputs (a consequent of -0.0 against
-# 0.0) never share an entry. It holds its inputs, so their ids cannot be reused
-# while it lives, and its profile weakly, so dropping that frees its arrays. A
-# reader keeps an entry once its own result is stored on it, so a call that
-# raises keeps nothing; slots are written whole, so two threads can miss but
-# never read another configuration's entry or a half-written slot.
+# The entry of the last call whose gaps passed, or None, reused until a call on
+# another configuration. A hit needs the very three input objects, compared by
+# identity: equal but distinct inputs (a consequent of -0.0 against 0.0) never
+# share an entry. It holds its inputs, so their ids cannot be reused while it
+# lives, and its profile weakly, so dropping that frees its arrays. Only _flanked
+# keeps an entry, whole; readers fill its slots whole, so two threads can miss
+# but never read another configuration's entry or a half-written slot.
 _kept = None
 
 
 def _flanked(lower: Rule, upper: Rule, obs: Observation) -> _Flanked:
-    """The kept entry if it is of these very three objects, else a new one,
-    not kept yet, whose gaps :func:`_gaps` checks, raising what it raises."""
+    """The kept entry if it is of these very three objects, else a new one
+    whose gaps :func:`_gaps` checks, raising what it raises, and then kept."""
+    global _kept
     entry = _kept
     if entry is not None and entry.lower is lower and entry.upper is upper and entry.obs is obs:
         return entry
     entry = _Flanked()
     entry.gaps = _gaps(lower, upper, obs)
     entry.lower, entry.upper, entry.obs, entry.points, entry.profile = lower, upper, obs, None, None
+    _kept = entry
     return entry
 
 
@@ -324,12 +326,11 @@ def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> Conc
     is not sorted. Each point's pair of distances is scaled as
     :func:`_weighted_mean` describes.
 
-    The points are kept with the configuration, matched by the identity of
-    the three inputs, so a repeated call on the same objects (``full_report``
-    after this, say) returns the same :class:`ConclusionPoints` object again,
-    until a call on another configuration. A call that raises keeps nothing.
+    The points are stored on the entry of the last call whose gaps passed,
+    matched by the identity of the three inputs, so a repeated call on the
+    same objects (``full_report`` after this, say) returns the same
+    :class:`ConclusionPoints` object, until a call on another configuration.
     """
-    global _kept
     entry = _flanked(lower, upper, obs)
     points = entry.points
     if points is None:
@@ -337,7 +338,6 @@ def kh_characteristic_points(lower: Rule, upper: Rule, obs: Observation) -> Conc
         points = entry.points = ConclusionPoints(
             *map(_weighted_mean, map(math.hypot, *below), map(math.hypot, *above),
                  lower.consequent.points(), upper.consequent.points()))
-        _kept = entry
     return points
 
 

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from ._frozen import frozen
 from .errors import DomainError
-from . import interpolate
 from .interpolate import Observation, Rule, _at_most, _Flanked, _flanked, _weighted_mean
 
 if TYPE_CHECKING:
@@ -168,12 +167,13 @@ def kh_alpha_profile(
     dimensions in an order fixed by their values, so the bits do not depend
     on the order in which the dimensions are given.
 
-    While a returned profile is alive, a call on the same three objects and
-    level count (this one again, or :func:`sweep_oracle`) returns it again
-    until a call on another configuration; it is matched by identity and
-    held weakly, so dropping it frees its arrays. Its arrays are read-only,
-    and writing to them after ``setflags(write=True)`` is unsupported: every
-    later hit would see it. A call that raises keeps nothing.
+    The profile is held weakly on the entry of the last call whose gaps
+    passed, matched by the identity of the three inputs: while it is alive, a
+    call on the same objects and level count (this one again, or
+    :func:`sweep_oracle`) returns it again, until a call on another
+    configuration or level count, and dropping it frees its arrays. Its
+    arrays are read-only, and writing to them after ``setflags(write=True)``
+    is unsupported: every later hit would see it.
     """
     import numpy as np
 
@@ -182,14 +182,11 @@ def kh_alpha_profile(
     n_levels = operator.index(n_levels)
     entry = _flanked(lower, upper, obs)
     held = entry.profile
-    if held is not None and held[0] == n_levels:
-        profile = held[1]()
-        if profile is not None:
-            return profile
-    with np.errstate(over="ignore", invalid="ignore"):
-        profile = AlphaProfile(*_profile(entry, n_levels))
-    entry.profile = (n_levels, weakref.ref(profile))
-    interpolate._kept = entry
+    profile = held and held()
+    if profile is None or len(profile) != n_levels:
+        with np.errstate(over="ignore", invalid="ignore"):
+            profile = AlphaProfile(*_profile(entry, n_levels))
+        entry.profile = weakref.ref(profile)
     return profile
 
 
@@ -236,8 +233,9 @@ def _float_profile(
     which keep the computed value on a tie or a nan, give the library's bits
     in one dimension. Each distance is one ``math.hypot`` call, as in KH, so
     levels 0 and 1 give KH's points in any dimension order; numpy's
-    ``np.hypot`` folded pairwise may differ in ulps. A finite result keeps
-    its gaps for later calls, until a call on another configuration.
+    ``np.hypot`` folded pairwise may differ in ulps. The gaps come from the
+    entry of the last call whose gaps passed, reused until a call on another
+    configuration; a result that is not finite raises.
     """
     if n_levels < 2:
         raise DomainError(f"need at least 2 levels, got {n_levels}")
@@ -257,7 +255,6 @@ def _float_profile(
     infs, sups = means
     if not all(map(math.isfinite, infs + sups)):
         raise DomainError("profile endpoints must be finite")
-    interpolate._kept = entry
     return levels, infs, sups
 
 

@@ -78,10 +78,6 @@ class TrapezoidSet:
     def points(self) -> tuple[float, float, float, float]:
         return (self.a1, self.a2, self.a3, self.a4)
 
-    @property
-    def is_singleton(self) -> bool:
-        return self.a1 == self.a4
-
 
 @frozen
 class GradedPointList:

@@ -445,7 +445,7 @@ class TestAssembleConclusion:
 
         shape = assemble_conclusion(ConclusionPoints(5, 5, 5, 5))
         assert isinstance(shape, TrapezoidSet)
-        assert shape.is_singleton
+        assert shape.points() == (5.0,) * 4
 
     def test_tiny_inversion_within_tolerance_is_repaired(self):
         from fri_lab import ConclusionPoints

@@ -1,11 +1,11 @@
 """The memo of the last flanked configuration: one entry for its checked
 gaps, KH's points and the α-profile.
 
-``kh_characteristic_points``, ``kh_alpha_profile`` and the float sweep keep
-the entry of the last configuration they read, and ``kh_alpha_profile`` and
-``sweep_oracle`` share its profile while its caller holds it. A hit must give
-the bits of a fresh computation, only the very same input objects may hit,
-the level-count checks and the flank checks run on every call, the gaps are
+The memo keeps the entry of the last call whose gaps passed, until a call on
+another configuration; ``kh_alpha_profile`` and ``sweep_oracle`` share its
+profile while its caller holds it. A hit must give the bits of a fresh
+computation, in any order of calls, raising ones included; only the very same
+input objects may hit, the level-count checks run on every call, the gaps are
 checked once per configuration, and a dropped profile is freed.
 """
 import copy
@@ -34,7 +34,7 @@ from fri_lab import (
 )
 from fri_lab import interpolate
 from fri_lab.cli import main
-from fri_lab.errors import DomainError, OrderingViolation
+from fri_lab.errors import DomainError, FriError, OrderingViolation
 from fri_lab.interpolate import _at_most
 from fri_lab.profile import _sweep_in_floats
 
@@ -66,10 +66,35 @@ def bits(result):
     return repr(result)
 
 
+def outcome(call, config, held):
+    """The call's bits, its result appended to ``held``, or the type and
+    message of the error it raised."""
+    try:
+        result = call(*config)
+    except FriError as error:
+        return type(error), str(error)
+    held.append(result)
+    return bits(result)
+
+
 def fresh(call, config):
-    """The call's bits with the memo empty, so nothing is read from it."""
+    """The call's :func:`outcome` with the memo empty, so nothing is read from it."""
     interpolate._kept = None
-    return bits(call(*config))
+    return outcome(call, config, [])
+
+
+@pytest.fixture
+def gap_checks(monkeypatch):
+    """The arguments of every run of ``_gaps`` from here on."""
+    checked = []
+    gaps = interpolate._gaps
+
+    def counted(*args):
+        checked.append(args)
+        return gaps(*args)
+
+    monkeypatch.setattr(interpolate, "_gaps", counted)
+    return checked
 
 
 def two_configs(seed):
@@ -86,29 +111,21 @@ def signed_zero_config(zero):
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(CALLS)), ids="-".join)
-def test_hits_have_the_bits_of_fresh_results_in_every_call_order(monkeypatch, order):
+def test_hits_have_the_bits_of_fresh_results_in_every_call_order(gap_checks, order):
     a, b = two_configs(1)
     configs = {"a": a, "b": b}
     want = {(name, key): fresh(CALLS[name], config)
             for name in CALLS for key, config in configs.items()}
-    checked = []
-    gaps = interpolate._gaps
-
-    def counted(*args):
-        checked.append(args)
-        return gaps(*args)
-
-    monkeypatch.setattr(interpolate, "_gaps", counted)
     held = []  # keeps every profile alive, so the profile memo can hit
     last = None
     for key in "aabab" + "bba":
-        checked.clear()
+        gap_checks.clear()
         for name in order:
             result = CALLS[name](*configs[key])
             held.append(result)
             assert bits(result) == want[name, key], (name, key)
         # the gaps are checked once each time the configuration changes
-        assert len(checked) == (key != last), key
+        assert len(gap_checks) == (key != last), key
         last = key
 
 
@@ -166,10 +183,7 @@ GAP_OVERFLOW = (Rule((T(*[-1e308] * 4),), T(1, 2, 3, 4)), Rule((T(*[1.5e308] * 4
                 Observation((T(*[1e308] * 4),)))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("config, error", [(UNFLANKED, OrderingViolation),
-                                           (GAP_OVERFLOW, DomainError)])
-def test_a_call_that_raises_raises_again_and_keeps_nothing(config, error):
+def test_a_call_whose_gaps_fail_raises_again_and_keeps_nothing():
     good = signed_zero_config(0.0)
     kh_characteristic_points(*good)
     held = kh_alpha_profile(*good, N_LEVELS)
@@ -177,11 +191,43 @@ def test_a_call_that_raises_raises_again_and_keeps_nothing(config, error):
     slots = kept.gaps, kept.points, kept.profile
     for _ in range(2):
         for call in CALLS.values():
-            with pytest.raises(error):
-                call(*config)
+            with pytest.raises(OrderingViolation):
+                call(*UNFLANKED)
     assert interpolate._kept is kept
     assert all(map(operator.is_, (kept.gaps, kept.points, kept.profile), slots))
     assert kh_alpha_profile(*good, N_LEVELS) is held
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_call_that_raises_after_its_gaps_pass_keeps_its_entry(gap_checks):
+    good = signed_zero_config(0.0)
+    want = {name: fresh(call, good) for name, call in CALLS.items()}
+    held = kh_alpha_profile(*good, N_LEVELS)
+    gap_checks.clear()
+    for _ in range(2):
+        for call in CALLS.values():
+            with pytest.raises(DomainError):
+                call(*GAP_OVERFLOW)
+    # its gaps passed, so its entry is kept and evicts the good one
+    assert len(gap_checks) == 1
+    assert interpolate._kept.obs is GAP_OVERFLOW[2]
+    assert kh_alpha_profile(*good, N_LEVELS) is not held
+    assert {name: bits(call(*good)) for name, call in CALLS.items()} == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.lists(st.tuples(st.sampled_from(tuple(CALLS)), st.integers(min_value=0, max_value=3),
+                          st.sampled_from((2, 11, 101)), st.booleans()),
+                min_size=1, max_size=12))
+def test_interleaved_calls_have_the_bits_of_fresh_calls(seed, steps):
+    configs = (*two_configs(seed), UNFLANKED, GAP_OVERFLOW)
+    want = {(name, c, n_levels): fresh(calls(n_levels)[name], configs[c])
+            for name, c, n_levels, _ in steps}
+    held = []
+    for name, c, n_levels, hold in steps:
+        got = outcome(calls(n_levels)[name], configs[c], held if hold else [])
+        assert got == want[name, c, n_levels], (name, c, n_levels)
 
 
 def test_a_dropped_profile_is_freed():
@@ -195,7 +241,7 @@ def test_a_dropped_profile_is_freed():
     # and the sweep's own profile is not kept either
     sweep_oracle(*config, N_LEVELS)
     gc.collect()
-    assert interpolate._kept.profile[1]() is None
+    assert interpolate._kept.profile() is None
 
 
 def test_threads_get_their_own_bits():
@@ -271,16 +317,8 @@ FIXTURE_6 = str(Path(__file__).resolve().parent.parent / "fixtures" / "example_0
     (["bench", "--sweep", "11"], 0, 9),
 ])
 def test_sweeping_commands_read_each_configurations_gaps_once(
-    monkeypatch, capsys, argv, status, n_configs
+    gap_checks, capsys, argv, status, n_configs
 ):
-    calls = []
-    gaps = interpolate._gaps
-
-    def counted(*args):
-        calls.append(args)
-        return gaps(*args)
-
-    monkeypatch.setattr(interpolate, "_gaps", counted)
     assert main(argv) == status
     assert capsys.readouterr().out.count("sweep(11): ") == n_configs
-    assert len(calls) == n_configs
+    assert len(gap_checks) == n_configs

@@ -44,7 +44,7 @@ class TestLoad:
         assert doc.dimension == 1
         assert len(doc.rules) == 2
         assert doc.rules[0].antecedents[0].points() == (1.0, 2.0, 2.0, 3.0)
-        assert doc.rules[0].consequent.is_singleton
+        assert doc.rules[0].consequent.points() == (2.0,) * 4
         assert doc.observation.sets[0].points() == (4.0, 5.0, 5.0, 6.0)
         assert doc.metadata["name"] == "Example 1"
         payload = json.loads(save_document(doc))
@@ -168,7 +168,7 @@ class TestLoad:
             '{"version": "1", "dimension": 1, '
             '"rules": [{"antecedents": [[2]], "consequent": [5]}]}'
         )
-        assert doc.rules[0].antecedents[0].is_singleton
+        assert doc.rules[0].antecedents[0].points() == (2.0,) * 4
         assert json.loads(save_document(doc))["rules"] == [{"antecedents": [[2]], "consequent": [5]}]
 
 

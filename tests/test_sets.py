@@ -26,8 +26,7 @@ class TestMakeSet:
 
     def test_singleton(self):
         s = TrapezoidSet(2, 2, 2, 2)
-        assert s.is_singleton
-        assert s.points() == (2.0, 2.0, 2.0, 2.0)
+        assert s.points() == (2.0,) * 4
 
     def test_ordering_violation_reports_first_bad_pair(self):
         message = "abscissas out of order: a2=3.0 > a3=2.0"
