@@ -59,9 +59,11 @@ def _print_verdict_block(report, decimals: int) -> None:
 
 
 def _sweep(n_levels: int | None, lower, upper, observation):
-    """The float sweep at ``n_levels`` levels; None, and no profile import, without one."""
+    """The float sweep at 2 to 100001 levels; None, and no profile import, without one."""
     if n_levels is None:
         return None
+    if n_levels > 100001:
+        raise DomainError(f"need at most 100001 levels, got {n_levels}")
     from .profile import _sweep_in_floats
 
     return _sweep_in_floats(lower, upper, observation, n_levels)

@@ -122,22 +122,20 @@ def _profile(entry: _Flanked, n_levels: int) -> tuple[np.ndarray, np.ndarray, np
     levels[-1] = 1.0
     # the curves as one C-ordered block, by row of _cut_ends, then cut side,
     # then level, so that every slice below is a view of whole rows
-    rows = list(zip(*_cut_ends(entry)))
-    ends = np.array(rows)
+    ends = np.array(list(zip(*_cut_ends(entry))))
     curves = ends[..., :1] * (1.0 - levels)
     curves += ends[..., 1:] * levels
     # each consequent's cut endpoint stops at its kernel, its value at level 1
     np.minimum(ends[-2:, 0, 1:], curves[-2:, 0], out=curves[-2:, 0])
     np.maximum(ends[-2:, 1, 1:], curves[-2:, 1], out=curves[-2:, 1])
-    # the norms of the gaps to the lower and to the upper flank on both cut
-    # sides, folded over the dimensions in the order of their gap ends, so
-    # that any order of the input dimensions gives the same bits
+    # the distances to the lower and to the upper flank on both cut sides: in
+    # one dimension the gap itself, in several one math.hypot call per level,
+    # as in KH and _float_profile
     k = entry.obs.dimension
     gaps = curves[:-2].reshape(2, k, 2, n_levels)
-    order = range(k) if k == 1 else sorted(range(k), key=lambda d: (rows[d], rows[k + d]))
-    dists = gaps[:, order[0]]
-    for d in order[1:]:
-        np.hypot(dists, gaps[:, d], out=dists)
+    dists = gaps[:, 0] if k == 1 else np.array(
+        [[list(map(math.hypot, *flank[:, side].tolist())) for side in (0, 1)] for flank in gaps]
+    )
     # _weighted_mean at every level, written over the curves
     d1, d2 = dists
     shift = np.frexp(np.maximum(d1, d2))[1]
@@ -160,12 +158,11 @@ def kh_alpha_profile(
     cut endpoints, with Euclidean distances re-evaluated per level. With
     linear flanks every gap between cut endpoints, and every consequent cut
     endpoint before it stops at the kernel, is ``(1 - α) * v0 + α * v1`` from
-    its values at levels 0 and 1 (:func:`_cut_ends`). That form is exact at
-    both ends, so in one dimension levels 0 and 1 give KH's points exactly.
-    The levels have the bits of ``np.linspace(0.0, 1.0, n_levels)``, computed
-    without calling it, and each distance folds ``np.hypot`` over the
-    dimensions in an order fixed by their values, so the bits do not depend
-    on the order in which the dimensions are given.
+    its values at levels 0 and 1 (:func:`_cut_ends`). The levels have the
+    bits of ``np.linspace(0.0, 1.0, n_levels)``, computed without calling it,
+    and each distance is one ``math.hypot`` call over the dimensions, as in
+    KH, so in every dimension the profile has the bits of the CLI's
+    :func:`_float_profile`.
 
     The profile is held weakly on the entry of the last call whose gaps
     passed, matched by the identity of the three inputs: while it is alive, a
@@ -229,11 +226,11 @@ def _float_profile(
 
     The same checks in the same order, the levels of ``np.linspace`` (level
     ``i`` is ``i * (1 / (n_levels - 1))``, the last 1.0, as in the library,
-    neither calling it) and the clamps of ``np.minimum`` and ``np.maximum``,
-    which keep the computed value on a tie or a nan, give the library's bits
-    in one dimension. Each distance is one ``math.hypot`` call, as in KH, so
-    levels 0 and 1 give KH's points in any dimension order; numpy's
-    ``np.hypot`` folded pairwise may differ in ulps. The gaps come from the
+    neither calling it), the clamps of ``np.minimum`` and ``np.maximum``,
+    which keep the computed value on a tie or a nan, and one ``math.hypot``
+    call per distance, as in KH and the library, give the library's bits in
+    every dimension. Levels 0 and 1 are KH's points in any dimension order,
+    unless a distance is subnormal (ROADMAP item 4). The gaps come from the
     entry of the last call whose gaps passed, reused until a call on another
     configuration; a result that is not finite raises.
     """

@@ -434,6 +434,23 @@ def test_failed_sweep_prints_no_partial_report(capsys, command, levels):
     assert captured.err == f"error: need at least 2 levels, got {levels}\n"
 
 
+@pytest.mark.parametrize("levels", [100002, 10**30])
+@pytest.mark.parametrize(
+    "command", [["interpolate", fixture(6)], ["bench"]], ids=["interpolate", "bench"]
+)
+def test_sweep_of_too_many_levels_builds_no_profile(monkeypatch, capsys, command, levels):
+    from fri_lab import profile
+
+    def unbuilt(*args):
+        raise AssertionError("a profile was built")
+
+    monkeypatch.setattr(profile, "_float_profile", unbuilt)
+    assert main([*command, "--sweep", str(levels)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need at most 100001 levels, got {levels}\n"
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [

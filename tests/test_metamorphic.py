@@ -12,10 +12,10 @@ Each relation transforms a valid input and states what the outputs must do:
 - Dimension order: permuting the input dimensions of the rules and the
   observation leaves the KH points bit-identical, since ``math.hypot`` takes
   each distance in one call. The numpy α-profile and its 101-level sweep,
-  which fold ``np.hypot`` over the dimensions in an order fixed by their
-  values, stay bit-identical, and so do the CLI's plain-float profile and
-  sweep, which take each distance in KH's one call; that profile's levels 0
-  and 1 are KH's points. KHstab's points stay bit-identical when every
+  and the CLI's plain-float profile and sweep, take each distance in KH's
+  one call and stay bit-identical too; both profiles' levels 0 and 1 are
+  KH's points, unless a distance is subnormal (ROADMAP item 4), which no
+  draw here makes. KHstab's points stay bit-identical when every
   dimension orders the rules alike, so that the rules are weighted in one
   chain order.
 - Rule order again: shuffling a rule base's rules leaves the flanks that
@@ -193,6 +193,18 @@ def test_float_profile_ends_are_the_kh_points(k):
     for _ in range(DRAWS):
         lower, upper, obs = kd_config(rng, k)
         _, (y1, y2), (y4, y3) = _float_profile(lower, upper, obs, 2)
+        assert bits((y1, y2, y3, y4)) == bits(
+            kh_characteristic_points(lower, upper, obs).as_tuple()
+        )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_profile_ends_are_the_kh_points(k):
+    rng = random.Random(5)
+    for _ in range(DRAWS):
+        lower, upper, obs = kd_config(rng, k)
+        profile = kh_alpha_profile(lower, upper, obs, 2)
+        (y1, y2), (y4, y3) = profile.infs.tolist(), profile.sups.tolist()
         assert bits((y1, y2, y3, y4)) == bits(
             kh_characteristic_points(lower, upper, obs).as_tuple()
         )
